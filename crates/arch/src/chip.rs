@@ -8,6 +8,7 @@
 //! is exactly such a wrapped segment.
 
 use crate::config::AcceleratorConfig;
+use crate::geometry::MAX_MASK_SUBARRAYS;
 use std::fmt;
 
 /// Identifier of one physical subarray on the chip.
@@ -27,10 +28,14 @@ impl fmt::Display for SubarrayId {
     }
 }
 
-/// A contiguous (mod ring size) set of subarrays owned by one tenant.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A contiguous (mod ring size) set of subarrays owned by one tenant: the
+/// ring segment of `count` subarrays starting at `start` on a ring of
+/// `total`. Plain data — placing a tenant never touches the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Allocation {
-    ids: Vec<SubarrayId>,
+    start: u32,
+    count: u32,
+    total: u32,
 }
 
 impl Allocation {
@@ -39,37 +44,54 @@ impl Allocation {
     ///
     /// # Panics
     ///
-    /// Panics if `count` is zero or exceeds `total`.
+    /// Panics if `count` is zero or exceeds `total`, or if `total` exceeds
+    /// [`MAX_MASK_SUBARRAYS`].
     pub fn contiguous(start: u32, count: u32, total: u32) -> Self {
         assert!(count > 0 && count <= total, "invalid allocation size");
-        let ids = (0..count)
-            .map(|i| SubarrayId((start + i) % total))
-            .collect();
-        Self { ids }
+        assert!(
+            total <= MAX_MASK_SUBARRAYS,
+            "a ring of {total} subarrays does not fit a u128 placement mask"
+        );
+        Self {
+            start: start % total,
+            count,
+            total,
+        }
     }
 
-    /// The subarrays owned.
-    pub fn subarrays(&self) -> &[SubarrayId] {
-        &self.ids
+    /// The subarrays owned, in ring order from the segment's start.
+    pub fn subarrays(&self) -> impl Iterator<Item = SubarrayId> {
+        let Self {
+            start,
+            count,
+            total,
+        } = *self;
+        (0..count).map(move |i| SubarrayId((start + i) % total))
+    }
+
+    /// Placement bitmask: bit *i* set ⇔ subarray *i* owned.
+    pub fn mask(&self) -> u128 {
+        ring_run(self.start, self.count, self.total)
     }
 
     /// Number of subarrays owned.
     pub fn len(&self) -> u32 {
-        self.ids.len() as u32
+        self.count
     }
 
     /// Whether the allocation is empty (never true for constructed values).
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.count == 0
     }
 
     /// Number of distinct Fission Pods spanned — each spanned pod
     /// contributes one DRAM channel to this tenant.
     pub fn pods_spanned(&self, cfg: &AcceleratorConfig) -> u32 {
-        let mut pods: Vec<u32> = self.ids.iter().map(|id| id.pod(cfg)).collect();
-        pods.sort_unstable();
-        pods.dedup();
-        pods.len() as u32
+        // Pod indices are below the subarray count, so they fit the mask.
+        let pods = self
+            .subarrays()
+            .fold(0u128, |m, id| m | (1u128 << id.pod(cfg)));
+        pods.count_ones()
     }
 
     /// DRAM channels reachable by this tenant (one per spanned pod).
@@ -78,20 +100,46 @@ impl Allocation {
     }
 }
 
-/// Runtime placement state of the chip: which tenant owns each subarray.
+/// The low `n` bits set (`n <= 128`).
+fn low_bits(n: u32) -> u128 {
+    u128::MAX.checked_shr(128 - n).unwrap_or(0)
+}
+
+/// Bitmask of the ring segment `[start, start + count)` mod `total`
+/// (`start < total`, `count <= total <= 128`): the run of `count` low bits
+/// rotated left by `start` within a `total`-bit word.
+fn ring_run(start: u32, count: u32, total: u32) -> u128 {
+    let run = low_bits(count);
+    let wrapped = run.checked_shr(total - start).unwrap_or(0);
+    ((run << start) | wrapped) & low_bits(total)
+}
+
+/// Runtime placement state of the chip: which subarrays are busy, one bit
+/// per subarray.
 #[derive(Debug, Clone)]
 pub struct Chip {
     cfg: AcceleratorConfig,
-    owner: Vec<Option<u64>>,
+    total: u32,
+    busy: u128,
 }
 
 impl Chip {
     /// Creates an idle chip.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chip has more than [`MAX_MASK_SUBARRAYS`] subarrays
+    /// ([`GeometryBuilder`](crate::GeometryBuilder) never builds one).
     pub fn new(cfg: AcceleratorConfig) -> Self {
-        let n = cfg.num_subarrays() as usize;
+        let total = cfg.num_subarrays();
+        assert!(
+            total <= MAX_MASK_SUBARRAYS,
+            "chip of {total} subarrays does not fit a u128 placement mask"
+        );
         Self {
             cfg,
-            owner: vec![None; n],
+            total,
+            busy: 0,
         }
     }
 
@@ -102,76 +150,61 @@ impl Chip {
 
     /// Total subarrays.
     pub fn total(&self) -> u32 {
-        self.owner.len() as u32
+        self.total
     }
 
     /// Subarrays not owned by any tenant.
     pub fn free(&self) -> u32 {
-        self.owner.iter().filter(|o| o.is_none()).count() as u32
+        self.total - self.busy.count_ones()
     }
 
     /// Places a tenant on `count` subarrays, choosing the first contiguous
-    /// free segment (with wrap-around). Returns the allocation, or `None`
-    /// if no contiguous segment of that size is free.
-    pub fn place(&mut self, tenant: u64, count: u32) -> Option<Allocation> {
-        let total = self.total();
+    /// free segment (with wrap-around), lowest start first. Returns the
+    /// allocation, or `None` if no contiguous segment of that size is free.
+    pub fn place(&mut self, count: u32) -> Option<Allocation> {
+        let total = self.total;
         if count == 0 || count > total {
             return None;
         }
-        'starts: for start in 0..total {
-            for i in 0..count {
-                if self.owner[((start + i) % total) as usize].is_some() {
-                    continue 'starts;
-                }
-            }
-            let alloc = Allocation::contiguous(start, count, total);
-            for id in alloc.subarrays() {
-                self.owner[id.0 as usize] = Some(tenant);
-            }
-            return Some(alloc);
-        }
-        None
+        let (start, run) = (0..total)
+            .map(|s| (s, ring_run(s, count, total)))
+            .find(|&(_, run)| run & self.busy == 0)?;
+        self.busy |= run;
+        Some(Allocation {
+            start,
+            count,
+            total,
+        })
     }
 
-    /// Claims a specific pre-computed allocation for `tenant` if every one
-    /// of its subarrays is free; returns whether the claim succeeded.
-    /// Used by the runtime to keep stable tenants on their segments across
-    /// scheduling events.
-    pub fn claim(&mut self, tenant: u64, alloc: &Allocation) -> bool {
-        if alloc
-            .subarrays()
-            .iter()
-            .any(|id| self.owner_of(*id).is_some())
-        {
+    /// Claims a specific pre-computed allocation if every one of its
+    /// subarrays is free; returns whether the claim succeeded. Used by the
+    /// runtime to keep stable tenants on their segments across scheduling
+    /// events.
+    pub fn claim(&mut self, alloc: Allocation) -> bool {
+        let mask = alloc.mask();
+        if self.busy & mask != 0 {
             return false;
         }
-        for id in alloc.subarrays() {
-            self.owner[id.0 as usize] = Some(tenant);
-        }
+        self.busy |= mask;
         true
     }
 
-    /// Releases every subarray owned by `tenant`; returns how many were
-    /// freed.
-    pub fn release(&mut self, tenant: u64) -> u32 {
-        let mut n = 0;
-        for o in &mut self.owner {
-            if *o == Some(tenant) {
-                *o = None;
-                n += 1;
-            }
-        }
-        n
+    /// Releases the subarrays of `alloc`; returns how many were busy.
+    pub fn release(&mut self, alloc: Allocation) -> u32 {
+        let freed = self.busy & alloc.mask();
+        self.busy &= !freed;
+        freed.count_ones()
     }
 
     /// Clears all placements.
     pub fn reset(&mut self) {
-        self.owner.fill(None);
+        self.busy = 0;
     }
 
-    /// The tenant owning a subarray, if any.
-    pub fn owner_of(&self, id: SubarrayId) -> Option<u64> {
-        self.owner.get(id.0 as usize).copied().flatten()
+    /// Whether a subarray is owned by some tenant.
+    pub fn is_busy(&self, id: SubarrayId) -> bool {
+        id.0 < self.total && (self.busy >> id.0) & 1 == 1
     }
 }
 
@@ -183,11 +216,24 @@ mod tests {
         Chip::new(AcceleratorConfig::planaria())
     }
 
+    fn ids(a: &Allocation) -> Vec<u32> {
+        a.subarrays().map(|s| s.0).collect()
+    }
+
     #[test]
     fn contiguous_allocation_wraps() {
         let a = Allocation::contiguous(14, 4, 16);
-        let ids: Vec<u32> = a.subarrays().iter().map(|s| s.0).collect();
-        assert_eq!(ids, vec![14, 15, 0, 1]);
+        assert_eq!(ids(&a), vec![14, 15, 0, 1]);
+        assert_eq!(a.mask(), 0b1100_0000_0000_0011);
+    }
+
+    #[test]
+    fn masks_wrap_across_bit_127() {
+        let a = Allocation::contiguous(126, 4, 128);
+        assert_eq!(ids(&a), vec![126, 127, 0, 1]);
+        assert_eq!(a.mask(), (0b11 << 126) | 0b11);
+        assert_eq!(Allocation::contiguous(5, 128, 128).mask(), u128::MAX);
+        assert_eq!(Allocation::contiguous(0, 16, 16).mask(), 0xffff);
     }
 
     #[test]
@@ -202,53 +248,58 @@ mod tests {
     #[test]
     fn place_and_release_roundtrip() {
         let mut c = chip();
-        let a = c.place(7, 6).unwrap();
+        let a = c.place(6).unwrap();
         assert_eq!(a.len(), 6);
         assert_eq!(c.free(), 10);
-        assert_eq!(c.owner_of(a.subarrays()[0]), Some(7));
-        assert_eq!(c.release(7), 6);
+        assert!(a.subarrays().all(|id| c.is_busy(id)));
+        assert_eq!(c.release(a), 6);
         assert_eq!(c.free(), 16);
+        assert!(!c.is_busy(SubarrayId(0)));
     }
 
     #[test]
     fn placement_fails_when_fragmented_beyond_repair() {
         let mut c = chip();
-        // Occupy every other pair to fragment the ring.
-        for (t, start) in [(1u64, 0u32), (2, 4), (3, 8), (4, 12)] {
-            for i in 0..2 {
-                let id = SubarrayId(start + i);
-                assert!(c.owner_of(id).is_none());
-            }
-            c.place(t, 2).unwrap();
+        // Four 2-subarray tenants: first-fit packs them into SA0..8.
+        for start in [0u32, 2, 4, 6] {
+            assert!(!c.is_busy(SubarrayId(start)));
+            assert_eq!(c.place(2), Some(Allocation::contiguous(start, 2, 16)));
         }
-        // 8 free remain but max contiguous run...
-        // place() fills 0..2, 2..4, 4..6, 6..8 in order, so the free space is
-        // actually 8..16 contiguous; ask for more than that.
-        assert!(c.place(9, 9).is_none());
-        assert!(c.place(9, 8).is_some());
+        // 8 free remain, all contiguous in SA8..16; ask for more than that.
+        assert!(c.place(9).is_none());
+        assert!(c.place(8).is_some());
         assert_eq!(c.free(), 0);
     }
 
     #[test]
     fn zero_or_oversized_requests_rejected() {
         let mut c = chip();
-        assert!(c.place(1, 0).is_none());
-        assert!(c.place(1, 17).is_none());
+        assert!(c.place(0).is_none());
+        assert!(c.place(17).is_none());
     }
 
     #[test]
     fn claim_succeeds_only_on_free_segments() {
         let mut c = chip();
         let seg = Allocation::contiguous(2, 4, 16);
-        assert!(c.claim(7, &seg));
-        assert_eq!(c.owner_of(SubarrayId(3)), Some(7));
+        assert!(c.claim(seg));
+        assert!(c.is_busy(SubarrayId(3)));
         // Overlapping claim fails and must not partially take ownership.
         let overlap = Allocation::contiguous(5, 3, 16);
-        assert!(!c.claim(8, &overlap));
-        assert_eq!(c.owner_of(SubarrayId(6)), None);
+        assert!(!c.claim(overlap));
+        assert!(!c.is_busy(SubarrayId(6)));
         // Disjoint claim works, including wrap-around.
         let wrap = Allocation::contiguous(14, 4, 16);
-        assert!(c.claim(9, &wrap));
+        assert!(c.claim(wrap));
         assert_eq!(c.free(), 16 - 4 - 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a u128 placement mask")]
+    fn chips_wider_than_the_mask_are_rejected() {
+        let mut cfg = AcceleratorConfig::planaria();
+        cfg.pe_rows = 32 * 16;
+        cfg.pe_cols = 32 * 16;
+        let _ = Chip::new(cfg);
     }
 }

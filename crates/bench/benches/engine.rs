@@ -297,9 +297,9 @@ mod legacy {
             for (i, (t, &a)) in tenants.iter().zip(&alloc).enumerate() {
                 let kept_count = a == t.alloc || (t.alloc > 0 && a == t.alloc + 1);
                 if kept_count && t.alloc > 0 {
-                    if let Some(p) = &t.placement {
+                    if let Some(p) = t.placement {
                         if p.len() == t.alloc {
-                            let claimed = chip.claim(t.request.id, p);
+                            let claimed = chip.claim(p);
                             debug_assert!(claimed);
                             keep[i] = true;
                         }
@@ -309,7 +309,7 @@ mod legacy {
             let mut placements: Vec<Option<Allocation>> = tenants
                 .iter()
                 .enumerate()
-                .map(|(i, t)| if keep[i] { t.placement.clone() } else { None })
+                .map(|(i, t)| if keep[i] { t.placement } else { None })
                 .collect();
             let mut order: Vec<usize> = (0..tenants.len()).filter(|&i| !keep[i]).collect();
             order.sort_by_key(|&i| std::cmp::Reverse(alloc[i]));
@@ -318,7 +318,7 @@ mod legacy {
                 if alloc[i] == 0 {
                     continue;
                 }
-                match chip.place(tenants[i].request.id, alloc[i]) {
+                match chip.place(alloc[i]) {
                     Some(p) => placements[i] = Some(p),
                     None => {
                         defrag_needed = true;
@@ -337,14 +337,9 @@ mod legacy {
                         continue;
                     }
                     let p = chip
-                        .place(tenants[i].request.id, alloc[i])
+                        .place(alloc[i])
                         .expect("defragmented ring always packs");
-                    if keep[i]
-                        && tenants[i]
-                            .placement
-                            .as_ref()
-                            .is_some_and(|old| old.subarrays() != p.subarrays())
-                    {
+                    if keep[i] && tenants[i].placement.is_some_and(|old| old != p) {
                         migrated[i] = true;
                         keep[i] = false;
                     }

@@ -178,8 +178,7 @@ impl PlanariaEngine {
 /// Everything the per-event path needs lives here and is reused across
 /// events: the id-keyed floor memo ([`SchedState`]), the physical chip
 /// map, and the columnar scratch buffers — so a steady-state scheduling
-/// event performs no heap allocation beyond the `Allocation` segments of
-/// tenants whose placement actually changed.
+/// event performs no heap allocation (ring segments are `Copy` values).
 pub struct SpatialPolicy<'a> {
     library: &'a CompiledLibrary,
     mode: SchedulingMode,
@@ -270,9 +269,17 @@ impl SpatialPolicy<'_> {
                         compiled: &t.compiled,
                     };
                     let (est, fit) = if self.incremental {
-                        match state.seed(t.request.id, t.work_done, t.work_total, slack) {
-                            Seed::Exact(floor, fit) => (floor, fit),
-                            Seed::Floor(floor) => {
+                        // The pre-overhaul memo answered only inside the
+                        // slack band and rescanned every other clean entry
+                        // from its floor: a saturated `Exact` and a tight
+                        // `Floor(floor + 1)` both go back to `floor`.
+                        match state.seed(t.request.id, t.work_done, t.work_total, slack, total) {
+                            Seed::Exact(floor, fit) if fit.get() as i64 <= slack => (floor, fit),
+                            seed => {
+                                let floor = match seed {
+                                    Seed::Exact(floor, _) => floor,
+                                    Seed::Floor(from) => (from - 1).max(1),
+                                };
                                 let (est, fit) = view.estimate_resources_with_fit(floor, total);
                                 state.record(t.request.id, est, t.work_done, t.work_total, fit);
                                 (est, fit)
@@ -321,12 +328,9 @@ impl SpatialPolicy<'_> {
         for (i, (t, &a)) in tenants.iter().zip(&s.alloc).enumerate() {
             let kept_count = a == t.alloc || (t.alloc > 0 && a == t.alloc + 1);
             if kept_count && t.alloc > 0 {
-                if let Some(p) = &t.placement {
+                if let Some(p) = t.placement {
                     if p.len() == t.alloc {
-                        for id in p.subarrays() {
-                            debug_assert!(chip.owner_of(*id).is_none());
-                        }
-                        let claimed = chip.claim(t.request.id, p);
+                        let claimed = chip.claim(p);
                         debug_assert!(claimed);
                         s.keep[i] = true;
                     }
@@ -343,7 +347,7 @@ impl SpatialPolicy<'_> {
             if s.alloc[i] == 0 {
                 continue;
             }
-            match chip.place(tenants[i].request.id, s.alloc[i]) {
+            match chip.place(s.alloc[i]) {
                 Some(p) => s.placements[i] = Some(p),
                 None => {
                     defrag_needed = true;
@@ -364,16 +368,12 @@ impl SpatialPolicy<'_> {
                     continue;
                 }
                 let p = chip
-                    .place(tenants[i].request.id, s.alloc[i])
+                    .place(s.alloc[i])
                     // lint: every tenant was released above and Σalloc ≤ chip
                     // capacity, so a contiguous placement always exists
                     .expect("defragmented ring always packs");
                 if s.keep[i] {
-                    if tenants[i]
-                        .placement
-                        .as_ref()
-                        .is_some_and(|old| old.subarrays() != p.subarrays())
-                    {
+                    if tenants[i].placement.is_some_and(|old| old != p) {
                         s.migrated[i] = true;
                         s.keep[i] = false;
                         s.placements[i] = Some(p);
@@ -531,9 +531,10 @@ impl EnginePolicy for SpatialPolicy<'_> {
             SchedulingMode::Spatial => {
                 // Estimate phase: columnar views plus `ESTIMATERESOURCES`,
                 // seeded from the id-keyed memo. Clean entries inside the
-                // slack band answer with zero table lookups; clean-but-
-                // tight entries scan from their proven floor; dirty ones
-                // (progress, table switch, new tenant) scan from 1.
+                // slack band, or already saturated at the whole chip,
+                // answer with zero table lookups; other clean-but-tight
+                // entries scan from one past their proven floor; dirty
+                // ones (progress, table switch, new tenant) scan from 1.
                 s.priorities.clear();
                 s.slacks.clear();
                 s.estimates.clear();
@@ -541,8 +542,8 @@ impl EnginePolicy for SpatialPolicy<'_> {
                 for t in &sim.tenants {
                     let slack = slack_cycles(t.deadline_cycle, now);
                     // Built lazily: an `Exact` memo hit answers without the
-                    // view, so the queued-majority fastpath skips the
-                    // `fraction_done` division entirely.
+                    // view, so the queued backlog skips the `fraction_done`
+                    // division entirely.
                     let view = || SchedTask {
                         priority: t.request.priority,
                         slack,
@@ -550,7 +551,7 @@ impl EnginePolicy for SpatialPolicy<'_> {
                         compiled: &t.compiled,
                     };
                     let (est, fit) = if self.incremental {
-                        match state.seed(t.request.id, t.work_done, t.work_total, slack) {
+                        match state.seed(t.request.id, t.work_done, t.work_total, slack, total) {
                             // Exact hits skip the refresh too: the stored
                             // entry is bit-identical to what `record`
                             // would rewrite.
@@ -610,21 +611,18 @@ impl EnginePolicy for SpatialPolicy<'_> {
         for (i, (t, &a)) in tenants.iter().zip(&s.alloc).enumerate() {
             let kept_count = a == t.alloc || (t.alloc > 0 && a == t.alloc + 1);
             if kept_count && t.alloc > 0 {
-                if let Some(p) = &t.placement {
+                if let Some(p) = t.placement {
                     if p.len() == t.alloc {
-                        for id in p.subarrays() {
-                            debug_assert!(chip.owner_of(*id).is_none());
-                        }
                         // Re-claim the exact segment.
-                        let claimed = chip.claim(t.request.id, p);
+                        let claimed = chip.claim(p);
                         debug_assert!(claimed);
                         s.keep[i] = true;
                     }
                 }
             }
         }
-        // Kept tenants keep their `Allocation` in place (no clone); only
-        // re-placed tenants get a fresh segment here.
+        // Kept tenants keep their segment in place; only re-placed
+        // tenants get a fresh one here.
         s.placements.clear();
         s.placements.resize(tenants.len(), None);
         s.order.clear();
@@ -637,7 +635,7 @@ impl EnginePolicy for SpatialPolicy<'_> {
         s.order.sort_by_key(|&i| std::cmp::Reverse(s.alloc[i]));
         let mut defrag_needed = false;
         for &i in &s.order {
-            match chip.place(tenants[i].request.id, s.alloc[i]) {
+            match chip.place(s.alloc[i]) {
                 Some(p) => s.placements[i] = Some(p),
                 None => {
                     defrag_needed = true;
@@ -660,16 +658,12 @@ impl EnginePolicy for SpatialPolicy<'_> {
                     continue;
                 }
                 let p = chip
-                    .place(tenants[i].request.id, s.alloc[i])
+                    .place(s.alloc[i])
                     // lint: every tenant was released above and Σalloc ≤ chip
                     // capacity, so a contiguous placement always exists
                     .expect("defragmented ring always packs");
                 if s.keep[i] {
-                    if tenants[i]
-                        .placement
-                        .as_ref()
-                        .is_some_and(|old| old.subarrays() != p.subarrays())
-                    {
+                    if tenants[i].placement.is_some_and(|old| old != p) {
                         s.migrated[i] = true;
                         s.keep[i] = false;
                         s.placements[i] = Some(p);

@@ -12,18 +12,27 @@
 //! moved tenants back to floor 1 (correct, but a full O(total) rescan per
 //! victim per event). This module keys the memo by **request id** instead,
 //! so floors survive arbitrary reordering, and extends each entry with the
-//! predicted cycles *at* the floor (`fit`), enabling a band fastpath:
+//! predicted cycles *at* the floor (`fit`), so most entries answer
+//! without a scan. "Clean" means `done`/`total` are unchanged since the
+//! entry was recorded, so `fit` is still `predict_cycles(floor)`:
 //!
-//! * entry clean (`done`/`total` unchanged) and `fit <= slack` — the
-//!   memoized `(floor, fit)` **is** the answer: floor still fits, and
-//!   minimality is inherited from the wider earlier slack. Zero table
-//!   lookups.
-//! * entry clean but `fit > slack` — scan upward from `floor` (the sound
-//!   lower bound).
+//! * entry clean and `fit <= slack` (band fastpath) — the memoized
+//!   `(floor, fit)` **is** the answer: floor still fits, and minimality is
+//!   inherited from the wider earlier slack. Zero table lookups.
+//! * entry clean, `fit > slack`, and `floor` is the whole chip (saturated)
+//!   — the answer is again `(floor, fit)`: the floor proves no smaller
+//!   count fits, and a scan from the chip total returns
+//!   `(total, predict_cycles(total))` whether or not it fits — which is
+//!   the memoized `fit`. Zero table lookups. On a saturated backlog this
+//!   is the common case (85% of tenant visits on a bursty QoS-H chip,
+//!   against 4.9% for the band fastpath).
+//! * entry clean, `fit > slack`, floor below the chip — scan upward from
+//!   `floor + 1`: `floor` is the sound lower bound and the memoized `fit`
+//!   already shows it misses.
 //! * entry dirty (the tenant progressed, switched tables, or is new) —
 //!   scan from 1, exactly like a fresh rescan.
 //!
-//! All three cases return the same estimate a full rescan would (the
+//! All four cases return the same estimate a full rescan would (the
 //! soundness argument is in DESIGN.md §5f and pinned by the
 //! `incremental_equivalence` property test), so the incremental scheduler
 //! is result-exact, not approximate.
@@ -62,10 +71,11 @@ pub struct FloorEntry {
 /// How to seed a tenant's `ESTIMATERESOURCES` scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Seed {
-    /// Band fastpath: the memoized estimate is exact as-is; no scan, no
-    /// table lookups. Carries `(floor, fit)`.
+    /// The memoized estimate is exact as-is (band fastpath or saturated
+    /// floor); no scan, no table lookups. Carries `(floor, fit)`.
     Exact(u32, Cycles),
-    /// Scan upward from this proven floor (1 when no clean memo exists).
+    /// Scan upward from this proven lower bound (1 when no clean memo
+    /// exists).
     Floor(u32),
 }
 
@@ -112,17 +122,18 @@ impl SchedState {
         self.window.get(idx)?.as_ref()
     }
 
-    /// Classifies tenant `id` against its memo: [`Seed::Exact`] when the
-    /// entry is clean and its fit still meets `slack`, [`Seed::Floor`]
-    /// with the proven floor when clean but tight, and `Floor(1)` when
-    /// dirty or absent. One O(1) window probe.
-    pub fn seed(&self, id: u64, done: Cycles, total: Cycles, slack: i64) -> Seed {
+    /// Classifies tenant `id` against its memo on a chip of `subarrays`:
+    /// [`Seed::Exact`] when the entry is clean and its fit still meets
+    /// `slack` or its floor is already the whole chip, [`Seed::Floor`]
+    /// one past the floor when clean but tight, and `Floor(1)` when dirty
+    /// or absent. One O(1) window probe.
+    pub fn seed(&self, id: u64, done: Cycles, total: Cycles, slack: i64, subarrays: u32) -> Seed {
         match self.entry(id) {
             Some(e) if e.done == done && e.total == total => {
-                if e.fit.get() as i64 <= slack {
+                if e.fit.get() as i64 <= slack || e.floor >= subarrays {
                     Seed::Exact(e.floor, e.fit)
                 } else {
-                    Seed::Floor(e.floor)
+                    Seed::Floor(e.floor + 1)
                 }
             }
             _ => Seed::Floor(1),
@@ -190,25 +201,52 @@ mod tests {
         Cycles::new(v)
     }
 
+    /// Chip size for the unit tests: floors below it are not saturated.
+    const CHIP: u32 = 16;
+
     #[test]
     fn seed_without_memo_scans_from_one() {
         let s = SchedState::new();
-        assert_eq!(s.seed(7, cy(0), cy(100), 50), Seed::Floor(1));
+        assert_eq!(s.seed(7, cy(0), cy(100), 50, CHIP), Seed::Floor(1));
     }
 
     #[test]
     fn clean_entry_with_fitting_slack_is_exact() {
         let mut s = SchedState::new();
         s.record(7, 4, cy(10), cy(100), cy(40));
-        assert_eq!(s.seed(7, cy(10), cy(100), 40), Seed::Exact(4, cy(40)));
-        assert_eq!(s.seed(7, cy(10), cy(100), 1000), Seed::Exact(4, cy(40)));
+        assert_eq!(s.seed(7, cy(10), cy(100), 40, CHIP), Seed::Exact(4, cy(40)));
+        assert_eq!(
+            s.seed(7, cy(10), cy(100), 1000, CHIP),
+            Seed::Exact(4, cy(40))
+        );
     }
 
     #[test]
     fn clean_entry_with_tight_slack_degrades_to_floor() {
+        // The memoized fit shows `predict(4)` misses, so the scan starts
+        // one past the floor.
         let mut s = SchedState::new();
         s.record(7, 4, cy(10), cy(100), cy(40));
-        assert_eq!(s.seed(7, cy(10), cy(100), 39), Seed::Floor(4));
+        assert_eq!(s.seed(7, cy(10), cy(100), 39, CHIP), Seed::Floor(5));
+    }
+
+    #[test]
+    fn clean_entry_at_the_chip_total_is_exact_even_when_tight() {
+        // Saturated: no count below the chip fits, and a scan from the
+        // total returns `(total, predict(total))` = the memo.
+        let mut s = SchedState::new();
+        s.record(7, CHIP, cy(10), cy(100), cy(40));
+        assert_eq!(
+            s.seed(7, cy(10), cy(100), 39, CHIP),
+            Seed::Exact(CHIP, cy(40))
+        );
+        assert_eq!(
+            s.seed(7, cy(10), cy(100), -5, CHIP),
+            Seed::Exact(CHIP, cy(40))
+        );
+        // One below the chip is not saturated: scan the last count.
+        s.record(8, CHIP - 1, cy(10), cy(100), cy(40));
+        assert_eq!(s.seed(8, cy(10), cy(100), 39, CHIP), Seed::Floor(CHIP));
     }
 
     #[test]
@@ -216,9 +254,12 @@ mod tests {
         let mut s = SchedState::new();
         s.record(7, 4, cy(10), cy(100), cy(40));
         // Progress dirties the entry ...
-        assert_eq!(s.seed(7, cy(20), cy(100), 1000), Seed::Floor(1));
+        assert_eq!(s.seed(7, cy(20), cy(100), 1000, CHIP), Seed::Floor(1));
         // ... and so does a table switch (total changed).
-        assert_eq!(s.seed(7, cy(10), cy(90), 1000), Seed::Floor(1));
+        assert_eq!(s.seed(7, cy(10), cy(90), 1000, CHIP), Seed::Floor(1));
+        // A dirty entry at the chip total is not saturated either.
+        s.record(9, CHIP, cy(10), cy(100), cy(40));
+        assert_eq!(s.seed(9, cy(11), cy(100), 39, CHIP), Seed::Floor(1));
     }
 
     #[test]
@@ -235,8 +276,8 @@ mod tests {
         s.record(2, 3, cy(9), cy(40), cy(20));
         // Tenant 0 completes; 2 is swapped into its position. Lookups are
         // by id, so position never enters the contract.
-        assert_eq!(s.seed(2, cy(9), cy(40), 25), Seed::Exact(3, cy(20)));
-        assert_eq!(s.seed(1, cy(0), cy(80), 70), Seed::Exact(6, cy(70)));
+        assert_eq!(s.seed(2, cy(9), cy(40), 25, CHIP), Seed::Exact(3, cy(20)));
+        assert_eq!(s.seed(1, cy(0), cy(80), 70, CHIP), Seed::Exact(6, cy(70)));
         // The retired id is eventually pruned; survivors stay.
         for id in 100..200 {
             s.record(id, 1, cy(0), cy(1), cy(1));
@@ -244,8 +285,8 @@ mod tests {
         let live = [1u64, 2];
         s.prune(2, |id| live.contains(&id));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.seed(1, cy(0), cy(80), 70), Seed::Exact(6, cy(70)));
-        assert_eq!(s.seed(0, cy(5), cy(50), 1000), Seed::Floor(1));
+        assert_eq!(s.seed(1, cy(0), cy(80), 70, CHIP), Seed::Exact(6, cy(70)));
+        assert_eq!(s.seed(0, cy(5), cy(50), 1000, CHIP), Seed::Floor(1));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Incremental Algorithm 1 is *result-exact*: the id-keyed dirty-set
-//! scheduler (`SchedState` floors + band fastpath) must produce
+//! scheduler (`SchedState` floors, band and saturated fastpaths) must produce
 //! bit-identical results to a full `ESTIMATERESOURCES` rescan from 1 at
 //! every scheduling event — and the streamed trace path must be
 //! bit-identical to the materialized one.
@@ -44,6 +44,14 @@ fn random_cases(rng: &mut SplitMix64, n: usize) -> Vec<TraceConfig> {
         .collect()
 }
 
+/// A fixed case in the bursty QoS-H regime: bursts build a saturated
+/// backlog whose memo floors sit at the whole chip, so the oracle checks
+/// the saturated-floor memo arm event by event (the random grid may never
+/// build such a backlog).
+fn saturated_case() -> TraceConfig {
+    TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, 500, 1).with_burstiness(6.0)
+}
+
 #[test]
 fn incremental_matches_full_rescan_oracle_at_every_event() {
     let library = CompiledLibrary::new(AcceleratorConfig::planaria());
@@ -55,7 +63,10 @@ fn incremental_matches_full_rescan_oracle_at_every_event() {
         let oracle = PlanariaEngine::with_library(library.clone())
             .with_mode(mode)
             .with_incremental(false);
-        for cfg in random_cases(&mut rng, 4) {
+        for cfg in random_cases(&mut rng, 4)
+            .into_iter()
+            .chain([saturated_case()])
+        {
             let trace = cfg.generate();
             let (r_inc, t_inc) = incremental.run_traced(&trace);
             let (r_full, t_full) = oracle.run_traced(&trace);

@@ -4,7 +4,7 @@
 //! round-trips.
 
 use planaria::arch::subarray::ConfigWord;
-use planaria::arch::{AcceleratorConfig, Arrangement, Chip};
+use planaria::arch::{AcceleratorConfig, Allocation, Arrangement, Chip, GeometryBuilder};
 use planaria::compiler::compile;
 use planaria::core::{min_slack_cycles, schedule_tasks_spatially, SchedTask};
 use planaria::model::{ConvSpec, DnnBuilder, Domain, GemmShape, LayerOp, MatMulSpec};
@@ -161,14 +161,14 @@ fn chip_placement_is_consistent() {
         let tenants = rng.next_range(1, 5) as usize;
         for tenant in 0..tenants {
             let s = rng.next_range(1, 5) as u32;
-            if let Some(a) = chip.place(tenant as u64, s) {
+            if let Some(a) = chip.place(s) {
                 placed.push((tenant as u64, a));
             }
         }
         // No subarray owned by two tenants.
         let mut owned: Vec<u32> = placed
             .iter()
-            .flat_map(|(_, a)| a.subarrays().iter().map(|s| s.0))
+            .flat_map(|(_, a)| a.subarrays().map(|s| s.0))
             .collect();
         let before = owned.len();
         owned.sort_unstable();
@@ -176,9 +176,124 @@ fn chip_placement_is_consistent() {
         assert_eq!(owned.len(), before, "case {case}: overlapping placements");
         // Release everything: chip is whole again.
         for (t, a) in &placed {
-            assert_eq!(chip.release(*t), a.len(), "case {case}");
+            assert_eq!(chip.release(*a), a.len(), "case {case}, tenant {t}");
         }
         assert_eq!(chip.free(), 16, "case {case}");
+    }
+}
+
+/// A per-subarray first-fit model of the ring: the placement rule the
+/// bitmask `Chip` must reproduce segment for segment.
+struct NaiveRing {
+    busy: Vec<bool>,
+}
+
+impl NaiveRing {
+    fn total(&self) -> u32 {
+        self.busy.len() as u32
+    }
+
+    fn is_free(&self, start: u32, count: u32) -> bool {
+        (0..count).all(|i| !self.busy[((start + i) % self.total()) as usize])
+    }
+
+    fn set(&mut self, a: Allocation, busy: bool) {
+        for id in a.subarrays() {
+            self.busy[id.0 as usize] = busy;
+        }
+    }
+
+    fn place(&mut self, count: u32) -> Option<Allocation> {
+        let n = self.total();
+        if count == 0 || count > n {
+            return None;
+        }
+        let start = (0..n).find(|&s| self.is_free(s, count))?;
+        let a = Allocation::contiguous(start, count, n);
+        self.set(a, true);
+        Some(a)
+    }
+
+    fn claim(&mut self, a: Allocation) -> bool {
+        let (start, count) = (a.subarrays().next().unwrap().0, a.len());
+        let ok = self.is_free(start, count);
+        if ok {
+            self.set(a, true);
+        }
+        ok
+    }
+}
+
+/// Bitmask placement: over random place/claim/release sequences the
+/// `Chip` returns exactly the segment a per-subarray first-fit scan
+/// would, on 16-, 64- and 128-granule rings (wrap-around across the top
+/// bit and whole-chip requests included).
+#[test]
+fn bitmask_placement_matches_naive_first_fit() {
+    let wide = GeometryBuilder::new()
+        .pe_array(128, 256)
+        .subarray_dim(16)
+        .pods(16)
+        .build()
+        .unwrap();
+    let mut rng = SplitMix64::new(0x0b17_0a5c);
+    for geometry in [cfg(), AcceleratorConfig::with_granularity(16), wide] {
+        let n = geometry.num_subarrays();
+        for case in 0..CASES {
+            let mut chip = Chip::new(geometry);
+            let mut ring = NaiveRing {
+                busy: vec![false; n as usize],
+            };
+            let mut held: Vec<Allocation> = Vec::new();
+            for step in 0..64 {
+                let ctx = format!("n={n} case {case} step {step}");
+                match rng.next_below(4) {
+                    0 | 1 => {
+                        // Mostly small requests, sometimes the whole chip.
+                        let count = if rng.next_below(8) == 0 {
+                            n
+                        } else {
+                            rng.next_range(1, u64::from(n / 4)) as u32
+                        };
+                        let got = chip.place(count);
+                        assert_eq!(got, ring.place(count), "{ctx}: place {count}");
+                        held.extend(got);
+                    }
+                    2 => {
+                        // Start anywhere, so segments wrap past the top bit.
+                        let start = rng.next_below(u64::from(n)) as u32;
+                        let count = rng.next_range(1, u64::from(n / 2)) as u32;
+                        let a = Allocation::contiguous(start, count, n);
+                        let ok = chip.claim(a);
+                        assert_eq!(ok, ring.claim(a), "{ctx}: claim {a:?}");
+                        if ok {
+                            held.push(a);
+                        }
+                    }
+                    _ => {
+                        if !held.is_empty() {
+                            let a = held.swap_remove(rng.next_below(held.len() as u64) as usize);
+                            assert_eq!(chip.release(a), a.len(), "{ctx}: release {a:?}");
+                            ring.set(a, false);
+                        }
+                    }
+                }
+                let free = ring.busy.iter().filter(|b| !**b).count() as u32;
+                assert_eq!(chip.free(), free, "{ctx}: free count");
+            }
+        }
+        // Deterministic wrap: with only the ring's two ends free, the
+        // first fit is the segment that crosses the top bit.
+        let mut chip = Chip::new(geometry);
+        assert!(chip.claim(Allocation::contiguous(4, n - 8, n)));
+        let wrap = chip.place(8).expect("the ends form one free run");
+        assert_eq!(wrap, Allocation::contiguous(n - 4, 8, n));
+        assert_eq!(wrap.mask(), (0b1111 << (n - 4)) | 0b1111);
+        // Whole-chip request on an empty ring.
+        chip.reset();
+        let all = chip.place(n).expect("an empty ring holds the whole chip");
+        assert_eq!(all, Allocation::contiguous(0, n, n));
+        assert_eq!(chip.free(), 0);
     }
 }
 

@@ -4,9 +4,9 @@
 //!    `SpatialPolicy` scratch buffers, the persistent chip map and the
 //!    id-keyed floor memo mean the marginal heap-allocation cost of a
 //!    request is a small constant — admission bookkeeping (tenant record,
-//!    id-index node, memo node, completion slot) plus the `Allocation`
-//!    segments of tenants whose placement actually changed — instead of
-//!    the former O(live tenants) fresh `Vec`s per event.
+//!    id-index node, memo node, completion slot); ring placements are
+//!    `Copy` segments — instead of the former O(live tenants) fresh
+//!    `Vec`s per event.
 //! 2. **Streamed runs never materialize the request trace.** A streamed
 //!    run's peak live memory stays below the materialized run's by at
 //!    least half the trace's size, and its resident request state is
