@@ -1,14 +1,14 @@
 //! Million-request scale path: full-rescan Algorithm 1 vs the
-//! incremental id-keyed dirty-set scheduler, at 10^4 / 10^5 / 10^6
-//! requests.
+//! incremental dirty-set scheduler, at 10^4 / 10^5 / 10^6 requests.
 //!
 //! The workload is a bursty QoS-Hard Scenario-C trace: bursts pile up
 //! queued tenants whose work counters are frozen between events, so
 //! every scheduling event re-estimates a mostly-unchanged population —
-//! the regime the `SchedState` band fastpath targets. The full-rescan
-//! oracle pays a fresh `ESTIMATERESOURCES` table scan per tenant per
-//! event; the incremental scheduler answers clean tenants from the
-//! memoized floor with zero table lookups. Both paths are result-exact
+//! the regime the tenant-resident floor memo
+//! (`planaria_core::sched_state`) targets. The full-rescan oracle pays a
+//! fresh `ESTIMATERESOURCES` table scan per tenant per event; the
+//! incremental scheduler answers clean tenants from the memoized floor
+//! with zero table lookups. Both paths are result-exact
 //! (asserted below on every size; pinned precisely by
 //! `tests/incremental_equivalence.rs`).
 //!

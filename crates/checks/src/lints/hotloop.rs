@@ -4,9 +4,9 @@
 //! The million-request scale path made the steady-state scheduling event
 //! allocation-free: the kernel and both engine policies own reusable
 //! scratch buffers (columnar views, keep masks, placement slots, the
-//! persistent chip map, the id-keyed floor memo) that are `clear()`ed
-//! per event, never reallocated. This lint keeps it that way by banning
-//! the materializing idioms inside the event-loop files:
+//! persistent chip map) that are `clear()`ed per event, never
+//! reallocated. This lint keeps it that way by banning the materializing
+//! idioms inside the event-loop files:
 //!
 //! * `collect` / `to_vec` / `with_capacity` — per-event `Vec`
 //!   materialization; extend a policy-owned scratch buffer instead;
@@ -18,11 +18,13 @@
 //!   a deep copy per event; borrow or reuse scratch instead.
 //!
 //! Scope: the kernel event loop, the multi-node fabric round loop, both
-//! engine policies, the scheduler memo (`crates/core/src/sched_state.rs`),
-//! the streaming quantile sketch (`crates/telemetry/src/sketch.rs`,
-//! which records inside the kernel's retire path), and the hot-path
-//! overhaul's own containers — the tiered event queue
-//! (`crates/sim/src/queue.rs`), the slab tenant index
+//! engine policies, the per-event helpers they call (the scheduler memo
+//! classification in `crates/core/src/sched_state.rs`, PREMA's pick in
+//! `crates/prema/src/policy.rs`, ring placement in
+//! `crates/arch/src/chip.rs`), the streaming quantile sketch
+//! (`crates/telemetry/src/sketch.rs`, which records inside the kernel's
+//! retire path), and the hot-path overhaul's own containers — the
+//! tiered event queue (`crates/sim/src/queue.rs`), the slab tenant index
 //! (`crates/sim/src/slab.rs`) and the completion sinks
 //! (`crates/workload/src/sink.rs`), whose `push`/`probe`/`record` run
 //! once per event or retirement. Their sanctioned allocation points —
@@ -39,7 +41,7 @@ use crate::source::SourceFile;
 use crate::symbols::{ty_head, FileSymbols};
 
 /// Files forming the per-event path.
-const HOT_SCOPE: [&str; 10] = [
+const HOT_SCOPE: [&str; 12] = [
     "crates/sim/src/kernel.rs",
     "crates/sim/src/fabric.rs",
     "crates/sim/src/queue.rs",
@@ -47,6 +49,8 @@ const HOT_SCOPE: [&str; 10] = [
     "crates/core/src/engine.rs",
     "crates/core/src/fleet.rs",
     "crates/prema/src/engine.rs",
+    "crates/prema/src/policy.rs",
+    "crates/arch/src/chip.rs",
     "crates/core/src/sched_state.rs",
     "crates/telemetry/src/sketch.rs",
     "crates/workload/src/sink.rs",
@@ -231,6 +235,20 @@ mod tests {
             let idents: Vec<&str> = d.iter().map(|d| d.ident.as_str()).collect();
             assert!(idents.contains(&"vec_macro"), "{rel}");
             assert!(idents.contains(&"Vec_new"), "{rel}");
+        }
+    }
+
+    #[test]
+    fn per_event_helpers_the_engines_call_are_in_scope() {
+        // PREMA's pick and ring placement run on every scheduling event.
+        for rel in ["crates/prema/src/policy.rs", "crates/arch/src/chip.rs"] {
+            let d = run(
+                rel,
+                "fn pick(tasks: &[T]) { let s: Vec<&T> = tasks.iter().filter(|t| t.starved).collect(); }\n",
+            );
+            assert_eq!(d.len(), 1, "{rel}");
+            assert_eq!(d[0].ident, "collect", "{rel}");
+            assert_eq!(d[0].lint.code(), "L2-HOT", "{rel}");
         }
     }
 

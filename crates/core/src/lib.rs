@@ -43,7 +43,7 @@ pub use planaria_compiler::CompiledLibrary;
 pub use planaria_model::units::{Bytes, Cycles, Picojoules};
 pub use planaria_model::SplitMix64;
 pub use planaria_sim::{FabricStats, FabricTuning, NodeLoad};
-pub use sched_state::{FloorEntry, SchedState, Seed};
+pub use sched_state::Seed;
 pub use scheduler::{
     allocate_spatially_into, min_slack_cycles, schedule_tasks_spatially, AllocScratch, SchedTask,
 };

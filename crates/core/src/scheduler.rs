@@ -71,7 +71,7 @@ impl SchedTask<'_> {
     /// the quantity `ALLOCATEFITTASKS` divides by. Returning it here lets
     /// the fit path reuse the scan's last table lookup instead of
     /// re-querying, and lets the engines memoize it per tenant (the
-    /// [`SchedState`](crate::sched_state::SchedState) band fastpath): when
+    /// [`sched_state`](crate::sched_state) band fastpath): when
     /// a memoized `(estimate, fit)` still satisfies `fit <= slack`, the
     /// whole estimate phase is O(1) with **zero** table lookups.
     ///

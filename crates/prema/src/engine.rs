@@ -5,19 +5,26 @@
 //! completion detection, retirement — lives in [`planaria_sim`]; this
 //! module keeps only PREMA's *decisions*: token accrual, the
 //! threshold + shortest-job pick, and the context-switch cost a
-//! preemption charges to the incoming job. The monolithic chip maps onto
+//! preemption charges to the incoming job.
+//!
+//! Tokens live in the tenant record ([`PolicyMemo::Tokens`]) as a bank
+//! of the tenant's finished waits; a waiting tenant's current count is
+//! [`tokens_at`] its bank, priority and `queued_since`. That is exact
+//! because on a PREMA node `queued_since` marks the start of every wait:
+//! the kernel sets it at admission (where the first reschedule runs),
+//! and this policy resets it at each preemption and banks the wait when
+//! the tenant is picked to run. The monolithic chip maps onto
 //! the kernel as "the runner holds every subarray" (`alloc = total`),
 //! so retirement, busy-time and completion logic are shared with
 //! Planaria verbatim.
 
-use crate::policy::{pick_with_threshold, Policy, PolicyTask, TokenState};
+use crate::policy::{pick_with_threshold, tokens_at, Policy, PolicyTask};
 use planaria_arch::{AcceleratorConfig, Arrangement};
 use planaria_compiler::{CompiledDnn, CompiledLibrary};
-use planaria_sim::{full_mask, EnginePolicy, SimClock, SimState};
+use planaria_sim::{full_mask, EnginePolicy, PolicyMemo, SimClock, SimState, TenantState};
 use planaria_telemetry::{Collector, Counter, Event, Metric, NullCollector};
 use planaria_timing::{reconfiguration_cycles, ExecContext};
 use planaria_workload::{Request, SimResult};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A single node running the PREMA baseline.
@@ -142,8 +149,6 @@ impl PremaEngine {
             mask: full_mask(total),
             total,
             running: None,
-            tokens: BTreeMap::new(),
-            views: Vec::new(),
         }
     }
 }
@@ -162,11 +167,14 @@ pub struct TemporalPolicy<'a> {
     total: u32,
     /// Request id of the current occupant, if any.
     running: Option<u64>,
-    /// Token bookkeeping per request id (outlives queue reordering).
-    tokens: BTreeMap<u64, TokenState>,
-    /// Reusable per-event policy view buffer (grows to the live-tenant
-    /// high-water mark once; steady-state events allocate nothing).
-    views: Vec<PolicyTask>,
+}
+
+/// Tokens `t` banked over its finished waits.
+fn banked(t: &TenantState) -> u64 {
+    match t.memo {
+        PolicyMemo::Tokens(tokens) => tokens,
+        _ => 0,
+    }
 }
 
 impl EnginePolicy for TemporalPolicy<'_> {
@@ -183,46 +191,27 @@ impl EnginePolicy for TemporalPolicy<'_> {
     fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C) {
         let now = sim.now;
         // The kernel retired the runner: the chip is free again.
-        if let Some(id) = self.running {
-            if sim.index_of(id).is_none() {
-                self.running = None;
-            }
-        }
-        // Bound the token map: drop entries for long-retired requests
-        // (amortized; the membership probe is the kernel's id index, so
-        // the sweep allocates nothing).
-        if self.tokens.len() > sim.tenants.len() + 64 {
-            self.tokens.retain(|id, _| sim.index_of(*id).is_some());
-        }
-        // Accrue tokens for waiting tenants; the runner does not collect.
-        for t in &sim.tenants {
-            let id = t.request.id;
-            let entry = self.tokens.entry(id).or_insert(TokenState {
-                tokens: 0,
-                last_update: now,
-            });
-            if Some(id) == self.running {
-                entry.last_update = now;
-            } else {
-                entry.accrue(t.request.priority, now);
-            }
+        let running_idx = self.running.and_then(|id| sim.index_of(id));
+        if running_idx.is_none() {
+            self.running = None;
         }
 
-        // Policy decision (a scheduling event fired). The view buffer is
-        // owned scratch: cleared, not reallocated, per event.
-        self.views.clear();
-        for (i, t) in sim.tenants.iter().enumerate() {
-            self.views.push(PolicyTask {
-                index: i,
-                tokens: self.tokens[&t.request.id].tokens,
-                arrival: t.arrival_cycle,
-                remaining: t.remaining(),
-            });
-        }
-        let chosen_idx = pick_with_threshold(self.policy, &self.views, self.threshold);
+        // Policy decision (a scheduling event fired), in one pass over
+        // the tenants. Waiting tenants count their current wait on top
+        // of their bank; the runner does not collect.
+        let tasks = sim.tenants.iter().enumerate().map(|(i, t)| PolicyTask {
+            index: i,
+            tokens: if Some(i) == running_idx {
+                banked(t)
+            } else {
+                tokens_at(banked(t), t.request.priority, t.queued_since, now)
+            },
+            arrival: t.arrival_cycle,
+            remaining: t.remaining(),
+        });
+        let chosen_idx = pick_with_threshold(self.policy, tasks, self.threshold);
         let chosen_id = chosen_idx.map(|i| sim.tenants[i].request.id);
         if chosen_id != self.running {
-            let running_idx = self.running.and_then(|id| sim.index_of(id));
             if let Some(cur) = running_idx {
                 // The incumbent loses the accelerator mid-flight.
                 if c.is_enabled() {
@@ -276,6 +265,13 @@ impl EnginePolicy for TemporalPolicy<'_> {
                     sim.tenants[next].overhead += cost.total();
                 }
                 let t = &mut sim.tenants[next];
+                // The wait ends: bank it.
+                t.memo = PolicyMemo::Tokens(tokens_at(
+                    banked(t),
+                    t.request.priority,
+                    t.queued_since,
+                    now,
+                ));
                 if c.is_enabled() {
                     let wait = now.saturating_sub(t.queued_since);
                     c.record(
@@ -319,8 +315,10 @@ impl EnginePolicy for TemporalPolicy<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use planaria_model::units::Cycles;
     use planaria_model::DnnId;
     use planaria_workload::{Completion, QosLevel, Scenario, TraceConfig};
+    use std::collections::BTreeMap;
 
     fn engine() -> PremaEngine {
         PremaEngine::new_default()
@@ -414,6 +412,72 @@ mod tests {
         let mut trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 10.0, 5, 3).generate();
         trace.reverse();
         let _ = engine().run(&trace);
+    }
+
+    /// Wraps the PREMA policy and, after every decision, reckons each
+    /// tenant's queued cycles from the allocations it observes: a wait
+    /// starts at arrival or when the tenant loses the chip, and ends when
+    /// it gets the chip back.
+    struct WaitLedger<'a> {
+        inner: TemporalPolicy<'a>,
+        /// Per request id: cycles queued so far, the open wait's start,
+        /// and how many times the tenant was picked to run.
+        waits: BTreeMap<u64, (u64, Option<Cycles>, u32)>,
+        resumed: usize,
+    }
+
+    impl EnginePolicy for WaitLedger<'_> {
+        fn compiled_for(&mut self, request: &Request) -> Arc<CompiledDnn> {
+            self.inner.compiled_for(request)
+        }
+
+        fn admit_subarrays(&self) -> u32 {
+            self.inner.admit_subarrays()
+        }
+
+        fn reschedule<C: Collector>(&mut self, sim: &mut SimState, c: &mut C) {
+            self.inner.reschedule(sim, c);
+            for t in &sim.tenants {
+                let (queued, since, runs) =
+                    self.waits
+                        .entry(t.request.id)
+                        .or_insert((0, Some(t.arrival_cycle), 0));
+                match (*since, t.alloc > 0) {
+                    (Some(start), true) => {
+                        *queued += (sim.now - start).get();
+                        *since = None;
+                        *runs += 1;
+                        if *runs > 1 {
+                            self.resumed += 1;
+                        }
+                        // Picked to run: the bank holds every wait so far.
+                        let expected = u64::from(t.request.priority) * *queued;
+                        assert_eq!(t.memo, PolicyMemo::Tokens(expected), "{}", t.request.id);
+                    }
+                    (None, false) => *since = Some(sim.now),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_tenants_keep_the_tokens_they_banked() {
+        let e = engine();
+        let trace = TraceConfig::new(Scenario::A, QosLevel::Soft, 200.0, 30, 5).generate();
+        let mut ledger = WaitLedger {
+            inner: e.node_policy(),
+            waits: BTreeMap::new(),
+            resumed: 0,
+        };
+        let r = planaria_sim::run(
+            e.library().config(),
+            &trace,
+            &mut ledger,
+            &mut NullCollector,
+        );
+        assert_eq!(r, e.run(&trace), "the ledger must not change the run");
+        assert!(ledger.resumed > 0, "the trace must preempt and resume");
     }
 
     #[test]

@@ -29,4 +29,4 @@ pub mod policy;
 
 pub use cluster::{run_mixed_cluster, run_mixed_cluster_recorded, MixedPolicy, NodeKind};
 pub use engine::{PremaEngine, TemporalPolicy};
-pub use policy::{pick_with_threshold, Policy, TokenState, TOKEN_THRESHOLD};
+pub use policy::{pick_with_threshold, Policy, TOKEN_THRESHOLD};

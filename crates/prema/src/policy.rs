@@ -11,24 +11,16 @@
 
 use planaria_model::units::Cycles;
 
-/// Per-task token bookkeeping for PREMA's policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TokenState {
-    /// Accumulated tokens (priority-weighted waiting cycles).
-    pub tokens: u64,
-    /// Last cycle tokens were accrued at.
-    pub last_update: Cycles,
-}
-
-impl TokenState {
-    /// Accrues `priority × waited-cycles` tokens up to `now`.
-    pub fn accrue(&mut self, priority: u32, now: Cycles) {
-        let waited = now.saturating_sub(self.last_update);
-        self.tokens = self
-            .tokens
-            .saturating_add(u64::from(priority).saturating_mul(waited.get()));
-        self.last_update = now;
-    }
+/// A waiting task's tokens at `now`: the `banked` tokens of its finished
+/// waits plus `priority × (now − waiting_since)` for the current one.
+///
+/// Accrual is linear and saturating, so banking once per wait is exact:
+/// for non-negative terms, a chain of saturating adds equals one
+/// saturating sum, and re-accruing at every event (the policy as
+/// published) gives the same count as this closed form.
+pub fn tokens_at(banked: u64, priority: u32, waiting_since: Cycles, now: Cycles) -> u64 {
+    let waited = now.saturating_sub(waiting_since);
+    banked.saturating_add(u64::from(priority).saturating_mul(waited.get()))
 }
 
 /// Temporal scheduling policy.
@@ -64,32 +56,38 @@ pub struct PolicyTask {
 /// is not adversarially tuned.)
 pub const TOKEN_THRESHOLD: f64 = 0.06;
 
-/// Picks the next task to occupy the accelerator; `None` when the queue
-/// is empty. `threshold` is the starvation bar in token units
-/// (priority-weighted cycles), used only by [`Policy::Prema`].
-pub fn pick_with_threshold(policy: Policy, tasks: &[PolicyTask], threshold: u64) -> Option<usize> {
-    if tasks.is_empty() {
-        return None;
-    }
+/// Picks the next task to occupy the accelerator in one pass over
+/// `tasks`; `None` when the queue is empty. `threshold` is the
+/// starvation bar in token units (priority-weighted cycles), used only by
+/// [`Policy::Prema`]. Ties go to the first task in the caller's order.
+pub fn pick_with_threshold<I>(policy: Policy, tasks: I, threshold: u64) -> Option<usize>
+where
+    I: IntoIterator<Item = PolicyTask>,
+{
+    let tasks = tasks.into_iter();
     match policy {
-        Policy::Fcfs => tasks.iter().min_by_key(|t| t.arrival).map(|t| t.index),
-        Policy::Sjf => tasks.iter().min_by_key(|t| t.remaining).map(|t| t.index),
+        Policy::Fcfs => tasks.min_by_key(|t| t.arrival).map(|t| t.index),
+        Policy::Sjf => tasks.min_by_key(|t| t.remaining).map(|t| t.index),
         Policy::Prema => {
             // Starved tasks (tokens over the threshold) form the candidate
             // set, shortest predicted job first; with nobody starved the
             // policy degenerates to throughput-maximizing SJF over the
-            // whole queue.
-            let starved: Vec<&PolicyTask> =
-                tasks.iter().filter(|t| t.tokens >= threshold).collect();
-            let candidates: Vec<&PolicyTask> = if starved.is_empty() {
-                tasks.iter().collect()
-            } else {
-                starved
+            // whole queue. Both minima are tracked at once; the strict
+            // `<` keeps the first of equal ones.
+            let shorter = |best: Option<PolicyTask>, t: PolicyTask| {
+                best.is_none_or(|b| t.remaining < b.remaining)
             };
-            candidates
-                .iter()
-                .min_by_key(|t| t.remaining)
-                .map(|t| t.index)
+            let mut shortest = None;
+            let mut shortest_starved = None;
+            for t in tasks {
+                if shorter(shortest, t) {
+                    shortest = Some(t);
+                }
+                if t.tokens >= threshold && shorter(shortest_starved, t) {
+                    shortest_starved = Some(t);
+                }
+            }
+            shortest_starved.or(shortest).map(|t| t.index)
         }
     }
 }
@@ -109,34 +107,36 @@ mod tests {
 
     #[test]
     fn tokens_accrue_with_priority_and_time() {
-        let mut s = TokenState::default();
-        s.accrue(5, Cycles::new(2));
-        assert_eq!(s.tokens, 10);
-        s.accrue(5, Cycles::new(3));
-        assert_eq!(s.tokens, 15);
-        assert_eq!(s.last_update, Cycles::new(3));
+        assert_eq!(tokens_at(0, 5, Cycles::ZERO, Cycles::new(2)), 10);
+        assert_eq!(tokens_at(0, 5, Cycles::ZERO, Cycles::new(3)), 15);
+        // A later wait adds to the bank of the earlier ones.
+        assert_eq!(tokens_at(15, 5, Cycles::new(7), Cycles::new(9)), 25);
+        // Not yet waiting (or waiting since now): the bank alone.
+        assert_eq!(tokens_at(15, 5, Cycles::new(9), Cycles::new(9)), 15);
     }
 
     #[test]
     fn accrual_saturates_instead_of_overflowing() {
-        let mut s = TokenState {
-            tokens: u64::MAX - 1,
-            last_update: Cycles::ZERO,
-        };
-        s.accrue(11, Cycles::new(u64::MAX));
-        assert_eq!(s.tokens, u64::MAX);
+        assert_eq!(
+            tokens_at(u64::MAX - 1, 11, Cycles::ZERO, Cycles::new(u64::MAX)),
+            u64::MAX
+        );
+        assert_eq!(
+            tokens_at(u64::MAX, 1, Cycles::ZERO, Cycles::new(1)),
+            u64::MAX
+        );
     }
 
     #[test]
     fn fcfs_takes_earliest_arrival() {
         let tasks = [task(0, 0, 5, 1), task(1, 100, 2, 9)];
-        assert_eq!(pick_with_threshold(Policy::Fcfs, &tasks, 50), Some(1));
+        assert_eq!(pick_with_threshold(Policy::Fcfs, tasks, 50), Some(1));
     }
 
     #[test]
     fn sjf_takes_shortest() {
         let tasks = [task(0, 0, 5, 1), task(1, 100, 2, 9)];
-        assert_eq!(pick_with_threshold(Policy::Sjf, &tasks, 50), Some(0));
+        assert_eq!(pick_with_threshold(Policy::Sjf, tasks, 50), Some(0));
     }
 
     #[test]
@@ -145,13 +145,13 @@ mod tests {
         // shorter. Task 0 has few tokens and is excluded even though it is
         // shortest overall.
         let tasks = [task(0, 1, 0, 10), task(1, 100, 0, 900), task(2, 95, 0, 200)];
-        assert_eq!(pick_with_threshold(Policy::Prema, &tasks, 50), Some(2));
+        assert_eq!(pick_with_threshold(Policy::Prema, tasks, 50), Some(2));
     }
 
     #[test]
     fn prema_runs_sjf_when_nobody_is_starved() {
         let tasks = [task(0, 10, 0, 500), task(1, 20, 0, 200)];
-        assert_eq!(pick_with_threshold(Policy::Prema, &tasks, 50), Some(1));
+        assert_eq!(pick_with_threshold(Policy::Prema, tasks, 50), Some(1));
     }
 
     #[test]
@@ -159,13 +159,65 @@ mod tests {
         // Deterministic tie-break: equal minima pick the earliest index in
         // the caller's list (the kernel's admission order).
         let tasks = [task(3, 0, 7, 4), task(9, 0, 7, 4)];
-        assert_eq!(pick_with_threshold(Policy::Fcfs, &tasks, 50), Some(3));
-        assert_eq!(pick_with_threshold(Policy::Sjf, &tasks, 50), Some(3));
-        assert_eq!(pick_with_threshold(Policy::Prema, &tasks, 50), Some(3));
+        assert_eq!(pick_with_threshold(Policy::Fcfs, tasks, 50), Some(3));
+        assert_eq!(pick_with_threshold(Policy::Sjf, tasks, 50), Some(3));
+        assert_eq!(pick_with_threshold(Policy::Prema, tasks, 50), Some(3));
     }
 
     #[test]
     fn empty_queue_picks_nothing() {
-        assert_eq!(pick_with_threshold(Policy::Prema, &[], 50), None);
+        assert_eq!(pick_with_threshold(Policy::Prema, [], 50), None);
+    }
+
+    /// The two-pass definition the single pass replaced: filter the
+    /// starved tasks, fall back to the whole queue when none is, then take
+    /// the first minimum.
+    fn pick_two_pass(policy: Policy, tasks: &[PolicyTask], threshold: u64) -> Option<usize> {
+        match policy {
+            Policy::Fcfs => tasks.iter().min_by_key(|t| t.arrival).map(|t| t.index),
+            Policy::Sjf => tasks.iter().min_by_key(|t| t.remaining).map(|t| t.index),
+            Policy::Prema => {
+                let starved: Vec<&PolicyTask> =
+                    tasks.iter().filter(|t| t.tokens >= threshold).collect();
+                let candidates: Vec<&PolicyTask> = if starved.is_empty() {
+                    tasks.iter().collect()
+                } else {
+                    starved
+                };
+                candidates
+                    .iter()
+                    .min_by_key(|t| t.remaining)
+                    .map(|t| t.index)
+            }
+        }
+    }
+
+    #[test]
+    fn single_pass_pick_matches_the_two_pass_definition() {
+        // Values drawn from tiny ranges so equal `remaining`, `tokens` and
+        // `arrival` values are the norm: every tie-break is exercised.
+        let mut rng = planaria_model::SplitMix64::new(0x5eed_0013);
+        for case in 0..2000 {
+            let n = (rng.next_u64() % 9) as usize;
+            let tasks: Vec<PolicyTask> = (0..n)
+                .map(|i| {
+                    task(
+                        i,
+                        rng.next_u64() % 4,
+                        rng.next_u64() % 3,
+                        rng.next_u64() % 3,
+                    )
+                })
+                .collect();
+            for threshold in [0, 2, u64::MAX] {
+                for policy in [Policy::Prema, Policy::Fcfs, Policy::Sjf] {
+                    assert_eq!(
+                        pick_with_threshold(policy, tasks.iter().copied(), threshold),
+                        pick_two_pass(policy, &tasks, threshold),
+                        "case {case}: {policy:?} threshold {threshold} over {tasks:?}"
+                    );
+                }
+            }
+        }
     }
 }

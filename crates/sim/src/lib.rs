@@ -8,13 +8,14 @@
 //! the loop out once and owns time as integer
 //! [`Cycles`](planaria_model::units::Cycles) end-to-end:
 //!
-//! - [`EventQueue`]: a binary-heap event queue keyed
-//!   `(Cycles, EventKind, seq)` so pop order is a total order —
-//!   independent of insertion order for distinct events, FIFO for
-//!   identical ones.
+//! - [`EventQueue`]: a tiered event queue (a near ring of cycle buckets
+//!   over a far heap) keyed `(Cycles, EventKind, seq)` so pop order is a
+//!   total order — independent of insertion order for distinct events,
+//!   FIFO for identical ones.
 //! - [`TenantState`]: the shared per-request record (work accounting in
 //!   exact cycles, reconfiguration overhead owed, accrued energy,
-//!   queue/slice timestamps, placement mask).
+//!   queue/slice timestamps, placement mask, and the policy-owned
+//!   [`PolicyMemo`]).
 //! - [`SimClock`]: the *only* place seconds and cycles meet. Engines and
 //!   the kernel never do float time arithmetic; conversion happens once
 //!   at the trace/`SimResult` boundary (enforced by the `planaria-checks`
@@ -28,10 +29,10 @@
 //!
 //! Completion detection is exact — a tenant is done when its integer
 //! work counter reaches the table total and its overhead is burned; no
-//! `DONE_EPS`-style float tolerance. Completion heap entries are
+//! `DONE_EPS`-style float tolerance. Completion queue entries are
 //! invalidated by per-tenant epochs instead of being removed, so a
-//! scheduling decision costs O(log T) heap pushes rather than an
-//! O(T) min-scan per event.
+//! scheduling decision pushes only the estimates it changed rather than
+//! running an O(T) min-scan per event.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,4 +54,4 @@ pub use kernel::{
     run, run_streamed, run_streamed_sink, EnginePolicy, NodeKernel, NodeSummary, SimState,
 };
 pub use queue::{EventKind, EventQueue};
-pub use tenant::{full_mask, subarray_mask, TenantState};
+pub use tenant::{full_mask, subarray_mask, PolicyMemo, TenantState};

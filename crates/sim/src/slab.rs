@@ -5,10 +5,9 @@
 //! every admission, every retirement, every swap-remove re-point, and —
 //! hottest of all — every completion-event validity check
 //! (`index_of` runs once per popped heap entry, stale or not). Request
-//! ids are assigned monotonically by the trace, so the same trick
-//! `SchedState` uses for the floor memo (`crates/core/src/sched_state.rs`)
-//! applies verbatim: store the map as a dense window of `Option` slots
-//! over the id space `[base, base + window.len())`. Every operation is
+//! ids are assigned monotonically by the trace, so the map is stored as
+//! a dense window of `Option` slots over the id space
+//! `[base, base + window.len())`. Every operation is
 //! an array probe at `id - base`; the window grows at the back under
 //! monotone admission and shrinks from both ends as retirements open
 //! holes, so resident size is O(live id span), exactly like the tenant

@@ -28,6 +28,34 @@ pub fn full_mask(n: u32) -> u128 {
     }
 }
 
+/// Per-tenant state owned by the scheduling policy.
+///
+/// The kernel sets it to [`PolicyMemo::Empty`] at admission and never
+/// reads it. It lives in the tenant record, so it moves with the tenant
+/// through `swap_remove` retirement and is dropped when the tenant
+/// retires: no policy keeps a side table keyed by request id. A tenant
+/// lives on one node under one policy, so one variant serves each engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PolicyMemo {
+    /// Nothing recorded yet.
+    #[default]
+    Empty,
+    /// Algorithm 1's last `ESTIMATERESOURCES` answer (classified by
+    /// `planaria_core::sched_state`).
+    Floor {
+        /// The estimate, in subarrays.
+        floor: u32,
+        /// `work_done` when it was recorded (clean only while unchanged).
+        done: Cycles,
+        /// `work_total` when it was recorded (clean only while unchanged).
+        total: Cycles,
+        /// `predict_cycles(floor)` then, reusable verbatim while clean.
+        fit: Cycles,
+    },
+    /// PREMA's tokens banked over the tenant's finished waits.
+    Tokens(u64),
+}
+
 /// One live request inside the kernel: work accounting in exact integer
 /// cycles plus the bookkeeping both engines share.
 ///
@@ -62,10 +90,13 @@ pub struct TenantState {
     pub overhead: Cycles,
     /// Dynamic energy accrued so far.
     pub energy: Picojoules,
-    /// When the current queue wait began (telemetry only).
+    /// When the current queue wait began (telemetry; PREMA also accrues
+    /// tokens from it).
     pub queued_since: Cycles,
     /// When the current execution slice began (telemetry only).
     pub slice_start: Cycles,
+    /// Scheduler state owned by the policy; the kernel never reads it.
+    pub memo: PolicyMemo,
     /// Completion-estimate generation (kernel internal).
     pub(crate) epoch: u64,
     /// The completion cycle currently in the heap, if any.
@@ -103,6 +134,7 @@ impl TenantState {
             energy: Picojoules::ZERO,
             queued_since: now,
             slice_start: now,
+            memo: PolicyMemo::Empty,
             epoch: 0,
             scheduled_completion: None,
         }
@@ -237,6 +269,14 @@ mod tests {
         t.work_total = Cycles::new(total);
         t.table_energy = Picojoules::from_joules(energy);
         t
+    }
+
+    #[test]
+    fn the_record_stays_small() {
+        // The tenant `Vec` dominates a short run's peak heap, so the
+        // record carries one 32 B policy memo and nothing wider.
+        let size = std::mem::size_of::<TenantState>();
+        assert!(size <= 208, "TenantState grew to {size} B");
     }
 
     #[test]

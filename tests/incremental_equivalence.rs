@@ -1,5 +1,5 @@
-//! Incremental Algorithm 1 is *result-exact*: the id-keyed dirty-set
-//! scheduler (`SchedState` floors, band and saturated fastpaths) must produce
+//! Incremental Algorithm 1 is *result-exact*: the dirty-set scheduler
+//! (tenant-resident floors, band and saturated fastpaths) must produce
 //! bit-identical results to a full `ESTIMATERESOURCES` rescan from 1 at
 //! every scheduling event — and the streamed trace path must be
 //! bit-identical to the materialized one.
