@@ -16,11 +16,11 @@
 //! JSON record.
 
 use planaria_arch::AcceleratorConfig;
-use planaria_core::{run_cluster_fabric, DispatchPolicy, FabricTuning, PlanariaEngine};
+use planaria_bench::time_per_iter;
+use planaria_core::{Cluster, DispatchPolicy, FabricTuning, PlanariaEngine};
 use planaria_workload::{QosLevel, Scenario, TraceConfig};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 const NODES: usize = 12;
 
@@ -28,16 +28,6 @@ const NODES: usize = 12;
 /// per-node saturation rate of the fig16 sweep, Scenario C's heavy mix.
 fn cluster_cfg(requests: usize) -> TraceConfig {
     TraceConfig::new(Scenario::C, QosLevel::Medium, 4_000.0, requests, 0xfab).with_burstiness(3.0)
-}
-
-/// Runs `f` `iters` times and returns mean seconds per iteration.
-fn time_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
-    f(); // warmup (also warms the compiled tables)
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / f64::from(iters)
 }
 
 fn main() {
@@ -48,13 +38,8 @@ fn main() {
     let trace = cluster_cfg(requests).generate();
 
     let run = || {
-        run_cluster_fabric(
-            &engine,
-            NODES,
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &FabricTuning::default(),
-        )
+        Cluster::uniform(&engine, NODES, DispatchPolicy::LeastWork)
+            .run(trace.iter().copied(), &FabricTuning::default())
     };
 
     // Serial reference: results at every jobs setting must digest equal.

@@ -16,13 +16,13 @@
 //! not overwrite the JSON record.
 
 use planaria_arch::AcceleratorConfig;
+use planaria_bench::time_per_iter;
 use planaria_compiler::CompiledLibrary;
 use planaria_core::PlanariaEngine;
 use planaria_model::DnnId;
 use planaria_workload::Request;
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// The pre-refactor float-time engine, kept verbatim (minus telemetry) as
 /// the measurement baseline. This is measurement infrastructure, not
@@ -410,16 +410,6 @@ fn burst_trace(n: usize, seed: u64) -> Vec<Request> {
             }
         })
         .collect()
-}
-
-/// Runs `f` `iters` times and returns mean seconds per iteration.
-fn time_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / f64::from(iters)
 }
 
 fn main() {

@@ -30,6 +30,7 @@
 //! small sizes only (CI smoke) and does not overwrite the JSON record.
 
 use planaria_arch::AcceleratorConfig;
+use planaria_bench::time_per_iter;
 use planaria_compiler::CompiledLibrary;
 use planaria_core::PlanariaEngine;
 use planaria_model::units::Picojoules;
@@ -85,16 +86,6 @@ fn peak_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// deep backlogs maximize queue pressure and stale-entry churn.
 fn bursty_cfg(requests: usize) -> TraceConfig {
     TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, requests, 0x5ca1e).with_burstiness(6.0)
-}
-
-/// Runs `f` `iters` times and returns mean seconds per iteration.
-fn time_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
-    f(); // warmup (also warms the compiled tables)
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / f64::from(iters)
 }
 
 /// Replays a finished spill sink into a streaming digest, recombining

@@ -22,6 +22,7 @@
 //! small size only (CI smoke) and does not overwrite the JSON record.
 
 use planaria_arch::AcceleratorConfig;
+use planaria_bench::time_per_iter;
 use planaria_compiler::CompiledLibrary;
 use planaria_core::PlanariaEngine;
 use planaria_workload::{QosLevel, Request, Scenario, TraceConfig};
@@ -76,16 +77,6 @@ fn peak_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// the memo while the full rescan re-scans every table.
 fn scale_cfg(requests: usize) -> TraceConfig {
     TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, requests, 0x5ca1e).with_burstiness(6.0)
-}
-
-/// Runs `f` `iters` times and returns mean seconds per iteration.
-fn time_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
-    f(); // warmup (also warms the compiled tables)
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / f64::from(iters)
 }
 
 fn main() {

@@ -10,6 +10,7 @@
 //! the `planaria-checks` determinism lint only polices simulation crates.)
 
 use planaria_arch::{AcceleratorConfig, Arrangement};
+use planaria_bench::time_per_iter;
 use planaria_compiler::{compile, compile_uncached, CompiledLibrary};
 use planaria_core::{min_slack_cycles, schedule_tasks_spatially, PlanariaEngine, SchedTask};
 use planaria_model::{ConvSpec, DnnId, LayerOp};
@@ -19,18 +20,11 @@ use planaria_timing::{time_layer, ExecContext};
 use planaria_workload::{QosLevel, Scenario, TraceConfig};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Runs `f` for `iters` iterations, reports mean latency per iteration,
 /// and returns it in seconds (for the machine-readable record).
-fn bench(name: &str, iters: u32, mut f: impl FnMut()) -> f64 {
-    // One warmup pass so first-touch effects don't pollute the mean.
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let per_iter = start.elapsed().as_secs_f64() / f64::from(iters);
+fn bench(name: &str, iters: u32, f: impl FnMut()) -> f64 {
+    let per_iter = time_per_iter(iters, f);
     let (scaled, unit) = if per_iter >= 1e-3 {
         (per_iter * 1e3, "ms")
     } else {

@@ -5,10 +5,7 @@
 //! fabric.
 //!
 //! Emits `results/BENCH_telemetry.json` with ns/event figures so the
-//! "zero overhead when off" claim is a measured number, not a slogan;
-//! `fabric_null_overhead_pct` is the measured cost of the collector
-//! *threading* (NullCollector sinks through `run_fabric_with` vs the
-//! plain `run_fabric` path), which must sit within run-to-run noise.
+//! "zero overhead when off" claim is a measured number, not a slogan.
 //!
 //! Runs under `cargo bench -p planaria-bench --bench telemetry`; plain
 //! `Instant`-based harness (wall-clock measurement infrastructure, exempt
@@ -17,10 +14,8 @@
 //! overwrite the JSON record.
 
 use planaria_arch::AcceleratorConfig;
-use planaria_core::{
-    run_cluster_fabric, run_cluster_recorded, run_cluster_stats, DispatchPolicy, FabricTuning,
-    PlanariaEngine,
-};
+use planaria_bench::time_per_iter;
+use planaria_core::{Cluster, DispatchPolicy, FabricTuning, PlanariaEngine};
 use planaria_model::units::Cycles;
 use planaria_model::SplitMix64;
 use planaria_prema::PremaEngine;
@@ -30,16 +25,10 @@ use planaria_telemetry::{
 use planaria_workload::{QosLevel, Scenario, TraceConfig};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Runs `f` for `iters` iterations and returns mean seconds/iteration.
-fn bench(name: &str, iters: u32, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let per_iter = start.elapsed().as_secs_f64() / f64::from(iters);
+fn bench(name: &str, iters: u32, f: impl FnMut()) -> f64 {
+    let per_iter = time_per_iter(iters, f);
     let (scaled, unit) = if per_iter >= 1e-3 {
         (per_iter * 1e3, "ms")
     } else {
@@ -167,38 +156,19 @@ fn bench_fabric(record: &mut Vec<(String, f64)>, smoke: bool) {
         TraceConfig::new(Scenario::C, QosLevel::Medium, 1_000.0, requests, 0x7e1e).generate();
     let nodes = 4;
     let tuning = FabricTuning::default();
+    let cluster = || Cluster::uniform(&engine, nodes, DispatchPolicy::LeastWork);
     let plain = bench("fabric/cluster_null_path", iters, || {
-        black_box(run_cluster_fabric(
-            &engine,
-            nodes,
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &tuning,
-        ));
+        black_box(cluster().run(trace.iter().copied(), &tuning));
     });
     let stats = bench("fabric/cluster_stats_path", iters, || {
-        black_box(run_cluster_stats(
-            &engine,
-            nodes,
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &tuning,
-        ));
+        black_box(cluster().run_stats(trace.iter().copied(), &tuning));
     });
     let recorded = bench("fabric/cluster_recorded_path", iters, || {
-        black_box(run_cluster_recorded(
-            &engine,
-            nodes,
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &tuning,
-        ));
+        black_box(cluster().run_recorded(trace.iter().copied(), &tuning));
     });
     record.push(("fabric_null_s".into(), plain));
     record.push(("fabric_stats_s".into(), stats));
     record.push(("fabric_recorded_s".into(), recorded));
-    // run_fabric *is* run_fabric_with + NullCollectors, so this measures
-    // pure run-to-run noise; it is recorded to keep that claim auditable.
     record.push((
         "fabric_stats_overhead_pct".into(),
         (stats / plain - 1.0) * 100.0,

@@ -6,7 +6,7 @@
 //! asks "how many nodes"), while this extension asks "given the nodes,
 //! how should a front-end route?" — the natural follow-on question for a
 //! datacenter deployment. The trace streams through the flat-memory
-//! fabric ([`run_cluster_stats`]): completions are never materialized
+//! fabric ([`Cluster::run_stats`]): completions are never materialized
 //! (the 10^6-request Vec alone would dwarf the simulator's working set),
 //! and every reported number — SLA rate, mean/p99 latency, the backlog
 //! watermark — comes out of O(buckets) counters and streaming quantile
@@ -22,7 +22,7 @@
 //! node's outstanding work an order of magnitude lower.
 
 use planaria_bench::{ResultTable, Systems};
-use planaria_core::{run_cluster_stats, DispatchPolicy, FabricTuning};
+use planaria_core::{Cluster, DispatchPolicy, FabricTuning};
 use planaria_telemetry::{Counter, Metric};
 use planaria_workload::{LatencyStats, QosLevel, Scenario, TraceConfig};
 
@@ -65,13 +65,8 @@ fn main() {
     );
     for policy in DispatchPolicy::ALL {
         let start = std::time::Instant::now();
-        let (cs, stats) = run_cluster_stats(
-            &sys.planaria,
-            NODES,
-            cfg.stream(),
-            policy,
-            &FabricTuning::default(),
-        );
+        let (cs, stats) = Cluster::uniform(&sys.planaria, NODES, policy)
+            .run_stats(cfg.stream(), &FabricTuning::default());
         eprintln!("[{policy:?}: {:.1}s]", start.elapsed().as_secs_f64());
         assert_eq!(cs.completed as usize, n, "{policy:?} lost requests");
         let lat = cs

@@ -32,8 +32,9 @@
 //! itself a design-space result the single-chip rows corroborate.
 //!
 //! Traces stream through the flat-memory stats path
-//! ([`GeoFleet::run_stats`]): completions are never materialized, and
-//! all percentiles come from streaming sketches.
+//! ([`Cluster::run_stats`](planaria_core::Cluster::run_stats)):
+//! completions are never materialized, and all percentiles come from
+//! streaming sketches.
 
 use planaria_arch::{named_sweep, AcceleratorConfig};
 use planaria_bench::ResultTable;
@@ -89,11 +90,9 @@ fn run_point(
 ) {
     let cfg = TraceConfig::new(scenario, qos, lambda, n, 0x9e0);
     let start = std::time::Instant::now();
-    let (cs, stats) = fleet.run_stats(
-        cfg.stream(),
-        DispatchPolicy::GeometryAware,
-        &FabricTuning::default(),
-    );
+    let (cs, stats) = fleet
+        .cluster(DispatchPolicy::GeometryAware)
+        .run_stats(cfg.stream(), &FabricTuning::default());
     eprintln!("[{name}/{traffic}: {:.1}s]", start.elapsed().as_secs_f64());
     assert_eq!(cs.completed as usize, n, "{name} lost requests");
     let freq_hz = fleet.configs()[0].freq_hz;

@@ -16,7 +16,7 @@
 use planaria_bench::{
     export_trace_if_requested, par_grid, stream_traces, trace_config, ResultTable, Systems,
 };
-use planaria_core::{min_nodes_for_sla, run_cluster, run_cluster_streamed, DispatchPolicy};
+use planaria_core::{min_nodes_for_sla, Cluster, DispatchPolicy, FabricTuning};
 use planaria_parallel::{effective_jobs, par_map};
 use planaria_workload::{meets_sla, Request};
 
@@ -49,15 +49,12 @@ fn main() {
             |n| {
                 let indices: Vec<usize> = (0..cfgs.len()).collect();
                 par_map(indices, effective_jobs(), |i| {
-                    let result = if stream_traces() {
-                        run_cluster_streamed(
-                            &sys.planaria,
-                            n,
-                            cfgs[i].stream(),
-                            DispatchPolicy::LeastWork,
-                        )
+                    let cluster = Cluster::uniform(&sys.planaria, n, DispatchPolicy::LeastWork);
+                    let tuning = FabricTuning::default();
+                    let (result, _) = if stream_traces() {
+                        cluster.run(cfgs[i].stream(), &tuning)
                     } else {
-                        run_cluster(&sys.planaria, n, &traces[i])
+                        cluster.run(traces[i].iter().copied(), &tuning)
                     };
                     meets_sla(&result.completions)
                 })

@@ -339,6 +339,18 @@ pub fn ratio_label(planaria: f64, prema: f64) -> String {
     }
 }
 
+/// The bench binaries' timing loop: runs `f` once as a warmup (which
+/// also warms the compiled tables), then `iters` more times, and returns
+/// the mean wall-clock seconds per timed iteration.
+pub fn time_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
+    f();
+    let start = std::time::Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_secs_f64() / f64::from(iters)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

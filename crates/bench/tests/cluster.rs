@@ -10,7 +10,7 @@
 //! state: a single test function serializes the env mutations (and this
 //! file is its own process, so other test binaries are unaffected).
 
-use planaria_core::{run_cluster_fabric, DispatchPolicy, FabricTuning, PlanariaEngine};
+use planaria_core::{Cluster, DispatchPolicy, FabricTuning, PlanariaEngine};
 use planaria_parallel::JOBS_ENV;
 use planaria_workload::{QosLevel, Scenario, SimResult, TraceConfig};
 
@@ -33,14 +33,9 @@ fn fabric_runs_are_bit_identical_across_job_counts() {
     for policy in DispatchPolicy::ALL {
         let run = |jobs: &str| -> SimResult {
             with_jobs(jobs, || {
-                run_cluster_fabric(
-                    &engine,
-                    nodes,
-                    trace.iter().copied(),
-                    policy,
-                    &FabricTuning::default(),
-                )
-                .0
+                Cluster::uniform(&engine, nodes, policy)
+                    .run(trace.iter().copied(), &FabricTuning::default())
+                    .0
             })
         };
         let serial = run("1");

@@ -9,7 +9,7 @@
 //! 3. **Sketch accuracy** — the streaming latency sketch's p99 matches
 //!    the materialized nearest-rank oracle within the documented
 //!    `≤ 1/32` relative bucket bound.
-//! 4. **Flat-path fidelity** — `run_cluster_stats` (no completion
+//! 4. **Flat-path fidelity** — `Cluster::run_stats` (no completion
 //!    vector) reports the same counts, QoS satisfaction, and sketch as
 //!    the materialized run.
 //!
@@ -17,10 +17,7 @@
 //! state: a single test function serializes the env mutations.
 
 use planaria_arch::AcceleratorConfig;
-use planaria_core::{
-    run_cluster_recorded, run_cluster_stats, run_cluster_with, DispatchPolicy, FabricTuning,
-    PlanariaEngine,
-};
+use planaria_core::{Cluster, DispatchPolicy, FabricTuning, PlanariaEngine};
 use planaria_parallel::JOBS_ENV;
 use planaria_sim::SimClock;
 use planaria_telemetry::{cluster_chrome_trace, validate_chrome_trace, Counter, Metric};
@@ -45,12 +42,13 @@ fn observability_plane_is_transparent_valid_and_accurate() {
     let tuning = FabricTuning::default();
 
     // 1. Bit-identity: plain vs recorded, jobs 1 vs 4.
+    let cluster = || Cluster::uniform(&engine, nodes, policy);
     let plain_digest = with_jobs("1", || {
-        run_cluster_with(&engine, nodes, &trace, policy).digest()
+        cluster().run(trace.iter().copied(), &tuning).0.digest()
     });
     for jobs in ["1", "4"] {
         let (r, _, _) = with_jobs(jobs, || {
-            run_cluster_recorded(&engine, nodes, trace.iter().copied(), policy, &tuning)
+            cluster().run_recorded(trace.iter().copied(), &tuning)
         });
         assert_eq!(
             r.digest(),
@@ -61,7 +59,7 @@ fn observability_plane_is_transparent_valid_and_accurate() {
 
     // 2. Trace validity: node processes and pod counter tracks present.
     let (result, stats, rec) = with_jobs("2", || {
-        run_cluster_recorded(&engine, nodes, trace.iter().copied(), policy, &tuning)
+        cluster().run_recorded(trace.iter().copied(), &tuning)
     });
     assert!(stats.rounds > 0);
     let json = cluster_chrome_trace(&rec);
@@ -104,9 +102,7 @@ fn observability_plane_is_transparent_valid_and_accurate() {
     );
 
     // 4. Flat path: same counts/QoS/sketch without completion vectors.
-    let (cs, _) = with_jobs("2", || {
-        run_cluster_stats(&engine, nodes, trace.iter().copied(), policy, &tuning)
-    });
+    let (cs, _) = with_jobs("2", || cluster().run_stats(trace.iter().copied(), &tuning));
     assert_eq!(cs.completed, trace.len() as u64);
     assert!((cs.makespan - result.makespan).abs() < 1e-12);
     let qos_met = result.completions.iter().filter(|c| c.met_qos()).count() as u64;

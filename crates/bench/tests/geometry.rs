@@ -40,11 +40,9 @@ fn single_node_fabric_matches_standalone_engine_at_every_geometry() {
         let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 120.0, 40, 3).generate();
         let direct = PlanariaEngine::new(cfg).run(&trace);
         let fleet = GeoFleet::new(&[cfg]).expect("valid single-node fleet");
-        let (fabric, _) = fleet.run(
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &FabricTuning::default(),
-        );
+        let (fabric, _) = fleet
+            .cluster(DispatchPolicy::LeastWork)
+            .run(trace.iter().copied(), &FabricTuning::default());
         assert_eq!(
             direct.digest(),
             fabric.digest(),
@@ -69,11 +67,9 @@ fn heterogeneous_fleet_is_byte_deterministic_across_job_counts() {
     let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 400.0, 80, 11).generate();
     let run = |jobs: &str| {
         with_jobs(jobs, || {
-            let (r, stats) = fleet.run(
-                trace.iter().copied(),
-                DispatchPolicy::GeometryAware,
-                &FabricTuning::default(),
-            );
+            let (r, stats) = fleet
+                .cluster(DispatchPolicy::GeometryAware)
+                .run(trace.iter().copied(), &FabricTuning::default());
             (
                 r.digest(),
                 r.total_energy,
@@ -93,11 +89,9 @@ fn heterogeneous_fleet_is_byte_deterministic_across_job_counts() {
     // counts too (it is what ext_geometry sweeps at scale).
     let stats_run = |jobs: &str| {
         with_jobs(jobs, || {
-            let (cs, _) = fleet.run_stats(
-                trace.iter().copied(),
-                DispatchPolicy::GeometryAware,
-                &FabricTuning::default(),
-            );
+            let (cs, _) = fleet
+                .cluster(DispatchPolicy::GeometryAware)
+                .run_stats(trace.iter().copied(), &FabricTuning::default());
             (cs.completed, cs.total_energy, cs.makespan.to_bits())
         })
     };

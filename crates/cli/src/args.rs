@@ -77,6 +77,24 @@ impl Args {
                 .map_err(|_| ArgError(format!("--{key}: cannot parse '{v}'"))),
         }
     }
+
+    /// Flag parsed as an arrival rate (queries per second), with a
+    /// default: trace generation needs a finite rate above zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the value does not parse or is NaN,
+    /// infinite, zero or negative.
+    pub fn rate_or(&self, key: &str, default: f64) -> Result<f64, ArgError> {
+        let rate: f64 = self.flag_or(key, default)?;
+        if rate.is_finite() && rate > 0.0 {
+            Ok(rate)
+        } else {
+            Err(ArgError(format!(
+                "--{key} must be a positive finite rate, got {rate}"
+            )))
+        }
+    }
 }
 
 /// Resolves a network name (case/punctuation-insensitive) to a `DnnId`.
@@ -176,6 +194,16 @@ mod tests {
     fn bad_value_is_an_error() {
         let a = parse(&["--subarrays", "lots"]);
         assert!(a.flag_or("subarrays", 1u32).is_err());
+    }
+
+    #[test]
+    fn rates_must_be_finite_and_positive() {
+        for bad in ["nan", "inf", "-1", "0"] {
+            let err = parse(&["--lambda", bad]).rate_or("lambda", 1.0);
+            assert!(err.is_err(), "--lambda {bad} accepted");
+        }
+        assert_eq!(parse(&["--lambda", "2.5"]).rate_or("lambda", 1.0), Ok(2.5));
+        assert_eq!(parse(&[]).rate_or("lambda", 60.0), Ok(60.0));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::args::{parse_qos, parse_scenario, ArgError, Args};
 use planaria_arch::AcceleratorConfig;
-use planaria_core::{run_cluster_recorded, DispatchPolicy, FabricTuning, PlanariaEngine};
+use planaria_core::{Cluster, DispatchPolicy, FabricTuning, PlanariaEngine};
 use planaria_telemetry::{cluster_chrome_trace, validate_chrome_trace, Counter, Metric};
 use planaria_workload::{LatencyStats, TraceConfig};
 use std::fmt::Write as _;
@@ -55,26 +55,19 @@ pub fn cluster_report(args: &Args) -> Result<(), ArgError> {
     let policy = parse_policy(args.flag("policy").unwrap_or("LeastWork"))?;
     let scenario = parse_scenario(args.flag("scenario").unwrap_or("C"))?;
     let qos = parse_qos(args.flag("qos").unwrap_or("M"))?;
-    let lambda: f64 = args.flag_or("lambda", 200.0)?;
+    let lambda = args.rate_or("lambda", 200.0)?;
     let requests: usize = args.flag_or("requests", 100)?;
     let seed: u64 = args.flag_or("seed", 1)?;
-    if nodes == 0 || lambda <= 0.0 || requests == 0 {
-        return Err(ArgError(
-            "--nodes, --lambda and --requests must be positive".into(),
-        ));
+    if nodes == 0 || requests == 0 {
+        return Err(ArgError("--nodes and --requests must be positive".into()));
     }
 
     let cfg = TraceConfig::new(scenario, qos, lambda, requests, seed);
     eprintln!("compiling planaria library...");
     let engine = PlanariaEngine::new(AcceleratorConfig::planaria());
     let freq_hz = engine.library().config().freq_hz;
-    let (result, stats, rec) = run_cluster_recorded(
-        &engine,
-        nodes,
-        cfg.stream(),
-        policy,
-        &FabricTuning::default(),
-    );
+    let (result, stats, rec) = Cluster::uniform(&engine, nodes, policy)
+        .run_recorded(cfg.stream(), &FabricTuning::default());
 
     let merged = rec.merged_report();
     let sketch_stats = merged

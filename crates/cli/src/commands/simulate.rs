@@ -4,6 +4,7 @@ use crate::args::{parse_qos, parse_scenario, ArgError, Args};
 use planaria_arch::AcceleratorConfig;
 use planaria_core::PlanariaEngine;
 use planaria_prema::PremaEngine;
+use planaria_telemetry::{mean_occupancy, reconfigurations, render_occupancy, RecordingCollector};
 use planaria_workload::{
     fairness, meets_sla, violation_rate, QosLevel, Scenario, SimResult, TraceConfig,
 };
@@ -15,13 +16,13 @@ use planaria_workload::{
 pub fn simulate(args: &Args) -> Result<(), ArgError> {
     let scenario: Scenario = parse_scenario(args.flag("scenario").unwrap_or("C"))?;
     let qos: QosLevel = parse_qos(args.flag("qos").unwrap_or("M"))?;
-    let lambda: f64 = args.flag_or("lambda", 60.0)?;
+    let lambda = args.rate_or("lambda", 60.0)?;
     let requests: usize = args.flag_or("requests", 200)?;
     let seed: u64 = args.flag_or("seed", 1)?;
     let system = args.flag("system").unwrap_or("planaria");
     let timeline: u32 = args.flag_or("timeline", 0)?;
-    if lambda <= 0.0 || requests == 0 {
-        return Err(ArgError("--lambda and --requests must be positive".into()));
+    if requests == 0 {
+        return Err(ArgError("--requests must be positive".into()));
     }
 
     let trace = TraceConfig::new(scenario, qos, lambda, requests, seed).generate();
@@ -33,12 +34,13 @@ pub fn simulate(args: &Args) -> Result<(), ArgError> {
             let engine = PlanariaEngine::new(AcceleratorConfig::planaria());
             let iso = engine.library().isolated_latencies();
             if timeline != 0 {
-                let (r, t) = engine.run_traced(&trace);
-                println!("{}", t.render_occupancy(64));
+                let mut rec = RecordingCollector::new();
+                let r = engine.run_with_collector(&trace, &mut rec);
+                println!("{}", render_occupancy(&rec, 64));
                 println!(
                     "reconfigurations: {}, mean occupancy: {:.0}%",
-                    t.reconfigurations(),
-                    t.mean_occupancy() * 100.0
+                    reconfigurations(&rec),
+                    mean_occupancy(&rec) * 100.0
                 );
                 (r, iso)
             } else {

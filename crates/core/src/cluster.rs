@@ -3,26 +3,30 @@
 //!
 //! Each DNN task is mapped to a single chip (§VI-B1: "each DNN task is
 //! mapped to a single chip instead of being distributed across multiple
-//! nodes"). Requests stream through a [`ClusterDispatcher`] into the
-//! multi-node fabric ([`planaria_sim::run_fabric`]): one independent
-//! kernel plus one Algorithm 1 policy per node, advanced in
-//! epoch-synchronized rounds so the nodes fan out across cores while the
-//! result stays byte-identical at any worker count.
+//! nodes"). A [`Cluster`] streams requests through a
+//! [`ClusterDispatcher`] into the multi-node fabric
+//! ([`planaria_sim::run_fabric_with`]): one independent kernel plus one
+//! policy per node, advanced in epoch-synchronized rounds so the nodes
+//! fan out across cores while the result stays byte-identical at any
+//! worker count.
 //!
 //! Dispatch accounting lives in the [`Cycles`] domain: the LeastWork
 //! horizon per node is integer cycles on the fabric clock, and the work
 //! estimate is the compiled full-chip cycle count from the timing memo
 //! (`table(total).total_cycles()`), not a float-seconds latency requery.
 
-use crate::engine::PlanariaEngine;
+use crate::engine::{PlanariaEngine, SpatialPolicy};
+use planaria_arch::AcceleratorConfig;
 use planaria_compiler::CompiledLibrary;
 use planaria_model::units::{Cycles, Picojoules};
 use planaria_model::{DnnId, SplitMix64};
 use planaria_sim::{
-    run_fabric, run_fabric_summary, run_fabric_with, Dispatcher, FabricStats, FabricTuning,
+    run_fabric_summary, run_fabric_with, Dispatcher, EnginePolicy, FabricStats, FabricTuning,
     NodeLoad, SimClock,
 };
-use planaria_telemetry::{ClusterRecording, MetricsReport, RecordingCollector, StatsCollector};
+use planaria_telemetry::{
+    ClusterRecording, MetricsReport, NullCollector, RecordingCollector, StatsCollector,
+};
 use planaria_workload::{Request, SimResult};
 
 /// Policy for spreading requests over the cluster's nodes.
@@ -324,109 +328,6 @@ pub fn dispatch(
     per_node
 }
 
-/// Runs a trace over `nodes` identical engines with least-outstanding-work
-/// dispatch; returns the merged result.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero or the trace is unsorted.
-pub fn run_cluster(engine: &PlanariaEngine, nodes: usize, trace: &[Request]) -> SimResult {
-    run_cluster_with(engine, nodes, trace, DispatchPolicy::LeastWork)
-}
-
-/// Runs a trace over `nodes` engines under an explicit dispatch policy.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero or the trace is unsorted.
-pub fn run_cluster_with(
-    engine: &PlanariaEngine,
-    nodes: usize,
-    trace: &[Request],
-    policy: DispatchPolicy,
-) -> SimResult {
-    run_cluster_streamed(engine, nodes, trace.iter().copied(), policy)
-}
-
-/// [`run_cluster_with`] over a pull-based request source: the stream is
-/// routed online and never materialized, so a million-request
-/// [`TraceStream`](planaria_workload::TraceStream) serves a cluster with
-/// O(live tenants + one dispatch window) resident requests.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero or the source yields arrivals out of order.
-pub fn run_cluster_streamed<I: IntoIterator<Item = Request>>(
-    engine: &PlanariaEngine,
-    nodes: usize,
-    requests: I,
-    policy: DispatchPolicy,
-) -> SimResult {
-    run_cluster_fabric(engine, nodes, requests, policy, &FabricTuning::default()).0
-}
-
-/// The full-control cluster entry point: explicit fabric tuning, and the
-/// fabric's aggregate event/round counters alongside the result.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero or the source yields arrivals out of order.
-pub fn run_cluster_fabric<I: IntoIterator<Item = Request>>(
-    engine: &PlanariaEngine,
-    nodes: usize,
-    requests: I,
-    policy: DispatchPolicy,
-    tuning: &FabricTuning,
-) -> (SimResult, FabricStats) {
-    assert!(nodes > 0, "cluster needs at least one node");
-    let cfg = *engine.library().config();
-    let cfgs = vec![cfg; nodes];
-    let policies: Vec<_> = (0..nodes).map(|_| engine.spatial_policy()).collect();
-    let mut d = ClusterDispatcher::new(engine.library(), nodes, policy);
-    run_fabric(&cfgs, policies, requests, &mut d, tuning)
-}
-
-/// [`run_cluster_fabric`] with full telemetry: the fabric's dispatch
-/// decisions, round barriers and load gauges land in one recorder, each
-/// node's kernel events (arrivals, exec slices, completions, pod energy)
-/// in its own, and the whole thing comes back as a [`ClusterRecording`]
-/// whose node map is keyed by node id — deterministic merge order at any
-/// `PLANARIA_JOBS`.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero or the source yields arrivals out of order.
-pub fn run_cluster_recorded<I: IntoIterator<Item = Request>>(
-    engine: &PlanariaEngine,
-    nodes: usize,
-    requests: I,
-    policy: DispatchPolicy,
-    tuning: &FabricTuning,
-) -> (SimResult, FabricStats, ClusterRecording) {
-    assert!(nodes > 0, "cluster needs at least one node");
-    let cfg = *engine.library().config();
-    let cfgs = vec![cfg; nodes];
-    let policies: Vec<_> = (0..nodes).map(|_| engine.spatial_policy()).collect();
-    let mut d = ClusterDispatcher::new(engine.library(), nodes, policy);
-    let mut fabric = RecordingCollector::new();
-    let sinks: Vec<RecordingCollector> = (0..nodes).map(|_| RecordingCollector::new()).collect();
-    let (result, stats, sinks) = run_fabric_with(
-        &cfgs,
-        policies,
-        requests,
-        &mut d,
-        tuning,
-        &mut fabric,
-        sinks,
-    );
-    let mut rec = ClusterRecording::new();
-    rec.fabric = fabric;
-    for (i, sink) in sinks.into_iter().enumerate() {
-        rec.nodes.insert(u32::try_from(i).unwrap_or(u32::MAX), sink);
-    }
-    (result, stats, rec)
-}
-
 /// Aggregate result of the flat-memory cluster path: counts, energy and
 /// percentile sketches without ever materializing a completion vector.
 #[derive(Debug, Clone, Default)]
@@ -443,10 +344,155 @@ pub struct ClusterStats {
     pub metrics: MetricsReport,
 }
 
-/// The O(live tenants)-memory cluster: identical scheduling to
-/// [`run_cluster_fabric`], but nodes keep only aggregate tallies plus
-/// streaming sketches, so a 10^6-request run reports p50/p99 latency and
-/// QoS satisfaction without a completion vector.
+/// Nodes behind one online [`ClusterDispatcher`], ready to serve one
+/// request stream through the multi-node fabric.
+///
+/// Node `i` runs its own policy on the chip its compiled library was
+/// built for, and the dispatcher reads every work estimate from the
+/// owning node's tables. Built by [`uniform`](Cluster::uniform) (N
+/// identical Planaria nodes), [`GeoFleet::cluster`](crate::GeoFleet::cluster)
+/// (per-node geometries) or `planaria_prema::mixed_cluster` (Planaria
+/// and PREMA nodes side by side). The three runs schedule identically
+/// and differ only in what they keep: every completion
+/// ([`run`](Cluster::run)), every completion plus every telemetry event
+/// ([`run_recorded`](Cluster::run_recorded)), or aggregate tallies and
+/// sketches only ([`run_stats`](Cluster::run_stats)). Each is
+/// byte-deterministic at any `PLANARIA_JOBS`.
+pub struct Cluster<P> {
+    cfgs: Vec<AcceleratorConfig>,
+    policies: Vec<P>,
+    dispatcher: ClusterDispatcher,
+}
+
+impl<'a> Cluster<SpatialPolicy<'a>> {
+    /// `nodes` identical Planaria nodes, each running `engine`'s
+    /// Algorithm 1 with private scheduling state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is zero.
+    pub fn uniform(engine: &'a PlanariaEngine, nodes: usize, policy: DispatchPolicy) -> Self {
+        Self::new(
+            (0..nodes).map(|_| (engine.library(), engine.spatial_policy())),
+            policy,
+        )
+    }
+}
+
+impl<P: EnginePolicy + Send> Cluster<P> {
+    /// One node per `(library, policy)` pair, in node order, routed by
+    /// `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is empty.
+    pub fn new<'l, N>(nodes: N, policy: DispatchPolicy) -> Self
+    where
+        N: IntoIterator<Item = (&'l CompiledLibrary, P)>,
+    {
+        let (libraries, policies): (Vec<&CompiledLibrary>, Vec<P>) = nodes.into_iter().unzip();
+        Self {
+            cfgs: libraries.iter().map(|lib| *lib.config()).collect(),
+            dispatcher: ClusterDispatcher::heterogeneous(&libraries, policy),
+            policies,
+        }
+    }
+
+    /// Serves `requests` (a slice's `iter().copied()` or a lazy
+    /// [`TraceStream`](planaria_workload::TraceStream), routed online and
+    /// never materialized), keeping every completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source yields arrivals out of order or the nodes'
+    /// clock frequencies differ.
+    pub fn run<I: IntoIterator<Item = Request>>(
+        mut self,
+        requests: I,
+        tuning: &FabricTuning,
+    ) -> (SimResult, FabricStats) {
+        let sinks = vec![NullCollector; self.policies.len()];
+        let (result, stats, _) = run_fabric_with(
+            &self.cfgs,
+            self.policies,
+            requests,
+            &mut self.dispatcher,
+            tuning,
+            &mut NullCollector,
+            sinks,
+        );
+        (result, stats)
+    }
+
+    /// [`run`](Self::run) with full telemetry: the fabric's dispatch
+    /// decisions, round barriers and load gauges land in
+    /// [`ClusterRecording::fabric`], each node's kernel events
+    /// (arrivals, exec slices, completions, pod energy) in its own
+    /// recorder, keyed by node id.
+    ///
+    /// # Panics
+    ///
+    /// As [`run`](Self::run).
+    pub fn run_recorded<I: IntoIterator<Item = Request>>(
+        mut self,
+        requests: I,
+        tuning: &FabricTuning,
+    ) -> (SimResult, FabricStats, ClusterRecording) {
+        let mut rec = ClusterRecording::new();
+        let sinks = vec![RecordingCollector::new(); self.policies.len()];
+        let (result, stats, sinks) = run_fabric_with(
+            &self.cfgs,
+            self.policies,
+            requests,
+            &mut self.dispatcher,
+            tuning,
+            &mut rec.fabric,
+            sinks,
+        );
+        rec.nodes = (0u32..).zip(sinks).collect();
+        (result, stats, rec)
+    }
+
+    /// The O(live tenants)-memory run: nodes keep only aggregate tallies
+    /// plus streaming sketches, so a 10^6-request run reports p50/p99
+    /// latency and QoS satisfaction without a completion vector.
+    ///
+    /// # Panics
+    ///
+    /// As [`run`](Self::run).
+    pub fn run_stats<I: IntoIterator<Item = Request>>(
+        mut self,
+        requests: I,
+        tuning: &FabricTuning,
+    ) -> (ClusterStats, FabricStats) {
+        let mut fabric = StatsCollector::new();
+        let sinks = vec![StatsCollector::new(); self.policies.len()];
+        let (summary, stats, sinks) = run_fabric_summary(
+            &self.cfgs,
+            self.policies,
+            requests,
+            &mut self.dispatcher,
+            tuning,
+            &mut fabric,
+            sinks,
+        );
+        let mut metrics = fabric.report();
+        for sink in &sinks {
+            metrics.merge(&sink.report());
+        }
+        (
+            ClusterStats {
+                completed: summary.completed,
+                total_energy: summary.total_energy,
+                makespan: summary.makespan,
+                metrics,
+            },
+            stats,
+        )
+    }
+}
+
+/// `Cluster::uniform(engine, nodes, policy).run_stats(requests, tuning)`.
 ///
 /// # Panics
 ///
@@ -458,35 +504,7 @@ pub fn run_cluster_stats<I: IntoIterator<Item = Request>>(
     policy: DispatchPolicy,
     tuning: &FabricTuning,
 ) -> (ClusterStats, FabricStats) {
-    assert!(nodes > 0, "cluster needs at least one node");
-    let cfg = *engine.library().config();
-    let cfgs = vec![cfg; nodes];
-    let policies: Vec<_> = (0..nodes).map(|_| engine.spatial_policy()).collect();
-    let mut d = ClusterDispatcher::new(engine.library(), nodes, policy);
-    let mut fabric = StatsCollector::new();
-    let sinks: Vec<StatsCollector> = (0..nodes).map(|_| StatsCollector::new()).collect();
-    let (summary, stats, sinks) = run_fabric_summary(
-        &cfgs,
-        policies,
-        requests,
-        &mut d,
-        tuning,
-        &mut fabric,
-        sinks,
-    );
-    let mut metrics = fabric.report();
-    for sink in &sinks {
-        metrics.merge(&sink.report());
-    }
-    (
-        ClusterStats {
-            completed: summary.completed,
-            total_energy: summary.total_energy,
-            makespan: summary.makespan,
-            metrics,
-        },
-        stats,
-    )
+    Cluster::uniform(engine, nodes, policy).run_stats(requests, tuning)
 }
 
 /// The minimum number of nodes achieving the SLA on every probe seed
@@ -504,11 +522,22 @@ mod tests {
     use planaria_arch::AcceleratorConfig;
     use planaria_workload::{meets_sla, QosLevel, Scenario, TraceConfig};
 
+    fn run(
+        e: &PlanariaEngine,
+        nodes: usize,
+        trace: &[Request],
+        policy: DispatchPolicy,
+    ) -> SimResult {
+        Cluster::uniform(e, nodes, policy)
+            .run(trace.iter().copied(), &FabricTuning::default())
+            .0
+    }
+
     #[test]
     fn cluster_preserves_all_requests() {
         let e = PlanariaEngine::new(AcceleratorConfig::planaria());
         let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 300.0, 30, 5).generate();
-        let r = run_cluster(&e, 3, &trace);
+        let r = run(&e, 3, &trace, DispatchPolicy::LeastWork);
         assert_eq!(r.completions.len(), 30);
     }
 
@@ -517,7 +546,7 @@ mod tests {
         let e = PlanariaEngine::new(AcceleratorConfig::planaria());
         let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 250.0, 40, 11).generate();
         for policy in DispatchPolicy::ALL {
-            let r = run_cluster_with(&e, 4, &trace, policy);
+            let r = run(&e, 4, &trace, policy);
             assert_eq!(r.completions.len(), 40, "{policy:?}");
             let ids: Vec<u64> = r.completions.iter().map(|c| c.request.id).collect();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "{policy:?} sorted");
@@ -529,8 +558,8 @@ mod tests {
         let e = PlanariaEngine::new(AcceleratorConfig::planaria());
         // Heavy overload of SSD-R requests.
         let trace = TraceConfig::new(Scenario::A, QosLevel::Soft, 120.0, 40, 5).generate();
-        let one = run_cluster(&e, 1, &trace);
-        let four = run_cluster(&e, 4, &trace);
+        let one = run(&e, 1, &trace, DispatchPolicy::LeastWork);
+        let four = run(&e, 4, &trace, DispatchPolicy::LeastWork);
         assert!(
             four.completions.iter().map(|c| c.latency()).sum::<f64>()
                 < one.completions.iter().map(|c| c.latency()).sum::<f64>()
@@ -590,7 +619,7 @@ mod tests {
             DispatchPolicy::DnnAffinity,
         ] {
             let split = dispatch(&e, 3, &trace, policy);
-            let fabric = run_cluster_with(&e, 3, &trace, policy);
+            let fabric = run(&e, 3, &trace, policy);
             assert_eq!(
                 fabric.completions.len(),
                 split.iter().map(Vec::len).sum::<usize>(),
@@ -618,7 +647,7 @@ mod tests {
         let e = PlanariaEngine::new(AcceleratorConfig::planaria());
         let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 100.0, 15, 9).generate();
         let direct = e.run(&trace);
-        let cluster = run_cluster(&e, 1, &trace);
+        let cluster = run(&e, 1, &trace, DispatchPolicy::LeastWork);
         assert_eq!(direct.completions, cluster.completions);
         assert_eq!(direct.total_energy, cluster.total_energy);
         assert_eq!(direct.makespan.to_bits(), cluster.makespan.to_bits());
@@ -631,8 +660,9 @@ mod tests {
         let cfg = TraceConfig::new(Scenario::C, QosLevel::Medium, 300.0, 50, 12);
         let trace = cfg.generate();
         for policy in DispatchPolicy::ALL {
-            let mat = run_cluster_with(&e, 3, &trace, policy);
-            let streamed = run_cluster_streamed(&e, 3, cfg.stream(), policy);
+            let mat = run(&e, 3, &trace, policy);
+            let (streamed, _) =
+                Cluster::uniform(&e, 3, policy).run(cfg.stream(), &FabricTuning::default());
             assert_eq!(mat.completions, streamed.completions, "{policy:?}");
             assert_eq!(mat.total_energy, streamed.total_energy, "{policy:?}");
         }
@@ -643,14 +673,9 @@ mod tests {
         let e = PlanariaEngine::new(AcceleratorConfig::planaria());
         let cfg = TraceConfig::new(Scenario::B, QosLevel::Medium, 200.0, 24, 6);
         let trace = cfg.generate();
-        let plain = run_cluster_with(&e, 3, &trace, DispatchPolicy::JoinShortestQueue);
-        let (rec_result, stats, rec) = run_cluster_recorded(
-            &e,
-            3,
-            trace.iter().copied(),
-            DispatchPolicy::JoinShortestQueue,
-            &FabricTuning::default(),
-        );
+        let plain = run(&e, 3, &trace, DispatchPolicy::JoinShortestQueue);
+        let (rec_result, stats, rec) = Cluster::uniform(&e, 3, DispatchPolicy::JoinShortestQueue)
+            .run_recorded(trace.iter().copied(), &FabricTuning::default());
         // Recording changes nothing about scheduling.
         assert_eq!(plain.completions, rec_result.completions);
         assert_eq!(plain.total_energy, rec_result.total_energy);
@@ -674,14 +699,9 @@ mod tests {
     fn stats_cluster_matches_materialized_percentiles() {
         let e = PlanariaEngine::new(AcceleratorConfig::planaria());
         let trace = TraceConfig::new(Scenario::C, QosLevel::Soft, 250.0, 40, 9).generate();
-        let mat = run_cluster_with(&e, 2, &trace, DispatchPolicy::LeastWork);
-        let (cs, _) = run_cluster_stats(
-            &e,
-            2,
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &FabricTuning::default(),
-        );
+        let mat = run(&e, 2, &trace, DispatchPolicy::LeastWork);
+        let (cs, _) = Cluster::uniform(&e, 2, DispatchPolicy::LeastWork)
+            .run_stats(trace.iter().copied(), &FabricTuning::default());
         assert_eq!(cs.completed, 40);
         assert_eq!(mat.completions.len(), 40);
         assert!((cs.makespan - mat.makespan).abs() < 1e-12);

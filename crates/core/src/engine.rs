@@ -12,7 +12,6 @@
 
 use crate::sched_state::{seed, Seed};
 use crate::scheduler::{allocate_spatially_into, min_slack_cycles, AllocScratch, SchedTask};
-use crate::trace::EngineTrace;
 use planaria_arch::{AcceleratorConfig, Allocation, Arrangement, Chip};
 use planaria_compiler::{CompiledDnn, CompiledLibrary};
 use planaria_model::units::Cycles;
@@ -99,18 +98,6 @@ impl PlanariaEngine {
         self.run_with_collector(trace, &mut NullCollector)
     }
 
-    /// Like [`run`](Self::run), additionally recording the scheduling-event
-    /// trace for telemetry analysis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is not sorted by arrival.
-    pub fn run_traced(&self, trace: &[Request]) -> (SimResult, EngineTrace) {
-        let mut t = EngineTrace::new(self.cfg().num_subarrays(), self.cfg().freq_hz);
-        let result = self.run_with_collector(trace, &mut t);
-        (result, t)
-    }
-
     /// Simulates one trace, streaming telemetry into `c`.
     ///
     /// The simulation itself never branches on the collector: with
@@ -135,21 +122,8 @@ impl PlanariaEngine {
     ///
     /// Panics if the source yields arrivals out of order.
     pub fn run_streamed<I: IntoIterator<Item = Request>>(&self, requests: I) -> SimResult {
-        self.run_streamed_with_collector(requests, &mut NullCollector)
-    }
-
-    /// [`run_streamed`](Self::run_streamed) with a telemetry collector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source yields arrivals out of order.
-    pub fn run_streamed_with_collector<C: Collector, I: IntoIterator<Item = Request>>(
-        &self,
-        requests: I,
-        c: &mut C,
-    ) -> SimResult {
         let mut policy = self.spatial_policy();
-        planaria_sim::run_streamed(self.cfg(), requests, &mut policy, c)
+        planaria_sim::run_streamed(self.cfg(), requests, &mut policy, &mut NullCollector)
     }
 
     /// A fresh kernel policy for one simulation run (or one cluster
@@ -824,6 +798,7 @@ mod tests {
     use super::*;
     use planaria_model::units::Picojoules;
     use planaria_model::DnnId;
+    use planaria_telemetry::{mean_occupancy, reconfigurations, RecordingCollector};
     use planaria_workload::{Completion, QosLevel, Scenario, TraceConfig};
 
     fn engine() -> PlanariaEngine {
@@ -928,32 +903,25 @@ mod tests {
         let e = engine();
         let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 150.0, 30, 17).generate();
         let plain = e.run(&trace);
-        let (traced, telemetry) = e.run_traced(&trace);
+        let mut rec = RecordingCollector::new();
+        let traced = e.run_with_collector(&trace, &mut rec);
         assert_eq!(plain.completions, traced.completions);
         // Every request arrives and completes in the telemetry.
-        use crate::trace::EventKind;
-        let arrivals = telemetry
-            .events()
-            .iter()
-            .filter(|ev| matches!(ev.kind, EventKind::Arrival { .. }))
-            .count();
-        let completions = telemetry
-            .events()
-            .iter()
-            .filter(|ev| matches!(ev.kind, EventKind::Completion { .. }))
-            .count();
-        assert_eq!(arrivals, 30);
-        assert_eq!(completions, 30);
-        assert!(telemetry.mean_occupancy() > 0.0);
+        let count =
+            |kind: fn(&Event) -> bool| rec.events().iter().filter(|t| kind(&t.event)).count();
+        assert_eq!(count(|ev| matches!(ev, Event::Arrival { .. })), 30);
+        assert_eq!(count(|ev| matches!(ev, Event::Completion { .. })), 30);
+        assert!(mean_occupancy(&rec) > 0.0);
     }
 
     #[test]
     fn contended_runs_actually_reconfigure() {
         let e = engine();
         let trace = TraceConfig::new(Scenario::A, QosLevel::Soft, 400.0, 60, 23).generate();
-        let (_, telemetry) = e.run_traced(&trace);
+        let mut rec = RecordingCollector::new();
+        e.run_with_collector(&trace, &mut rec);
         assert!(
-            telemetry.reconfigurations() > 0,
+            reconfigurations(&rec) > 0,
             "a contended trace must trigger dynamic fission"
         );
     }

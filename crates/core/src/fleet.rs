@@ -10,12 +10,9 @@
 //! dispatcher reads per-node capacity and per-node work estimates
 //! instead of assuming uniform chips.
 
-use crate::cluster::{ClusterDispatcher, ClusterStats, DispatchPolicy};
-use crate::engine::PlanariaEngine;
+use crate::cluster::{Cluster, DispatchPolicy};
+use crate::engine::{PlanariaEngine, SpatialPolicy};
 use planaria_arch::{AcceleratorConfig, GeometryError};
-use planaria_sim::{run_fabric, run_fabric_summary, FabricStats, FabricTuning};
-use planaria_telemetry::StatsCollector;
-use planaria_workload::{Request, SimResult};
 
 /// A fleet of Planaria nodes with per-node chip geometries.
 #[derive(Debug, Clone)]
@@ -72,81 +69,15 @@ impl GeoFleet {
             .sum()
     }
 
-    /// A dispatcher whose work estimates come from each node's own
-    /// compiled tables.
-    fn dispatcher(&self, policy: DispatchPolicy) -> ClusterDispatcher {
-        let libraries: Vec<_> = self.engines.iter().map(PlanariaEngine::library).collect();
-        ClusterDispatcher::heterogeneous(&libraries, policy)
-    }
-
-    /// Runs a request stream through the fleet, materializing every
-    /// completion. Byte-deterministic at any `PLANARIA_JOBS`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source yields arrivals out of order.
-    pub fn run<I: IntoIterator<Item = Request>>(
-        &self,
-        requests: I,
-        policy: DispatchPolicy,
-        tuning: &FabricTuning,
-    ) -> (SimResult, FabricStats) {
-        let cfgs = self.configs();
-        let policies: Vec<_> = self
-            .engines
-            .iter()
-            .map(PlanariaEngine::spatial_policy)
-            .collect();
-        let mut d = self.dispatcher(policy);
-        run_fabric(&cfgs, policies, requests, &mut d, tuning)
-    }
-
-    /// The flat-memory fleet run: identical scheduling to
-    /// [`run`](Self::run), but completions are never materialized —
-    /// counts, energy and percentile sketches come out of O(buckets)
-    /// collectors, so million-request sweeps stay O(live tenants)
-    /// resident.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source yields arrivals out of order.
-    pub fn run_stats<I: IntoIterator<Item = Request>>(
-        &self,
-        requests: I,
-        policy: DispatchPolicy,
-        tuning: &FabricTuning,
-    ) -> (ClusterStats, FabricStats) {
-        let cfgs = self.configs();
-        let policies: Vec<_> = self
-            .engines
-            .iter()
-            .map(PlanariaEngine::spatial_policy)
-            .collect();
-        let mut d = self.dispatcher(policy);
-        let mut fabric = StatsCollector::new();
-        let sinks: Vec<StatsCollector> =
-            self.engines.iter().map(|_| StatsCollector::new()).collect();
-        let (summary, stats, sinks) = run_fabric_summary(
-            &cfgs,
-            policies,
-            requests,
-            &mut d,
-            tuning,
-            &mut fabric,
-            sinks,
-        );
-        let mut metrics = fabric.report();
-        for sink in &sinks {
-            metrics.merge(&sink.report());
-        }
-        (
-            ClusterStats {
-                completed: summary.completed,
-                total_energy: summary.total_energy,
-                makespan: summary.makespan,
-                metrics,
-            },
-            stats,
+    /// The fleet as a [`Cluster`]: one Algorithm 1 node per geometry,
+    /// routed by a dispatcher whose work estimates come from each node's
+    /// own compiled tables.
+    pub fn cluster(&self, policy: DispatchPolicy) -> Cluster<SpatialPolicy<'_>> {
+        Cluster::new(
+            self.engines
+                .iter()
+                .map(|e| (e.library(), e.spatial_policy())),
+            policy,
         )
     }
 }
@@ -155,6 +86,7 @@ impl GeoFleet {
 mod tests {
     use super::*;
     use planaria_arch::GeometryError;
+    use planaria_sim::FabricTuning;
     use planaria_workload::{QosLevel, Scenario, TraceConfig};
 
     fn mixed_fleet() -> GeoFleet {
@@ -194,7 +126,9 @@ mod tests {
         let fleet = mixed_fleet();
         let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 250.0, 30, 7).generate();
         for policy in DispatchPolicy::ALL {
-            let (r, stats) = fleet.run(trace.iter().copied(), policy, &FabricTuning::default());
+            let (r, stats) = fleet
+                .cluster(policy)
+                .run(trace.iter().copied(), &FabricTuning::default());
             assert_eq!(r.completions.len(), 30, "{policy:?}");
             assert!(stats.events > 0, "{policy:?}");
         }
@@ -204,16 +138,13 @@ mod tests {
     fn stats_path_matches_materialized() {
         let fleet = mixed_fleet();
         let trace = TraceConfig::new(Scenario::B, QosLevel::Medium, 200.0, 24, 5).generate();
-        let (mat, _) = fleet.run(
-            trace.iter().copied(),
-            DispatchPolicy::GeometryAware,
-            &FabricTuning::default(),
-        );
-        let (cs, _) = fleet.run_stats(
-            trace.iter().copied(),
-            DispatchPolicy::GeometryAware,
-            &FabricTuning::default(),
-        );
+        let tuning = FabricTuning::default();
+        let (mat, _) = fleet
+            .cluster(DispatchPolicy::GeometryAware)
+            .run(trace.iter().copied(), &tuning);
+        let (cs, _) = fleet
+            .cluster(DispatchPolicy::GeometryAware)
+            .run_stats(trace.iter().copied(), &tuning);
         assert_eq!(cs.completed as usize, mat.completions.len());
         assert_eq!(cs.total_energy, mat.total_energy);
         assert_eq!(cs.makespan.to_bits(), mat.makespan.to_bits());
@@ -224,11 +155,9 @@ mod tests {
         let fleet = GeoFleet::new(&[AcceleratorConfig::latency_tuned()]).expect("valid");
         let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 100.0, 15, 9).generate();
         let direct = PlanariaEngine::new(AcceleratorConfig::latency_tuned()).run(&trace);
-        let (fleet_r, _) = fleet.run(
-            trace.iter().copied(),
-            DispatchPolicy::LeastWork,
-            &FabricTuning::default(),
-        );
+        let (fleet_r, _) = fleet
+            .cluster(DispatchPolicy::LeastWork)
+            .run(trace.iter().copied(), &FabricTuning::default());
         assert_eq!(direct.completions, fleet_r.completions);
         assert_eq!(direct.total_energy, fleet_r.total_energy);
         assert_eq!(direct.makespan.to_bits(), fleet_r.makespan.to_bits());

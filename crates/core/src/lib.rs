@@ -10,7 +10,7 @@
 //! changes take effect at tile boundaries and pay the reconfiguration cost
 //! of §IV-C.
 //!
-//! [`cluster`] adds the scaled-out multi-node setting of Fig. 16.
+//! [`Cluster`] adds the scaled-out multi-node setting of Fig. 16.
 //!
 //! # Example
 //!
@@ -30,11 +30,9 @@ pub mod engine;
 pub mod fleet;
 pub mod sched_state;
 pub mod scheduler;
-pub mod trace;
 
 pub use cluster::{
-    dispatch, min_nodes_for_sla, run_cluster, run_cluster_fabric, run_cluster_recorded,
-    run_cluster_stats, run_cluster_streamed, run_cluster_with, ClusterDispatcher, ClusterStats,
+    dispatch, min_nodes_for_sla, run_cluster_stats, Cluster, ClusterDispatcher, ClusterStats,
     DispatchPolicy,
 };
 pub use engine::{PlanariaEngine, SchedulingMode, SpatialPolicy};
@@ -47,4 +45,3 @@ pub use sched_state::Seed;
 pub use scheduler::{
     allocate_spatially_into, min_slack_cycles, schedule_tasks_spatially, AllocScratch, SchedTask,
 };
-pub use trace::{EngineTrace, EventKind, TraceEvent};

@@ -9,14 +9,11 @@
 //! one monolithic array).
 
 use crate::engine::{PremaEngine, TemporalPolicy};
-use planaria_arch::AcceleratorConfig;
 use planaria_compiler::CompiledDnn;
-use planaria_core::{ClusterDispatcher, DispatchPolicy, PlanariaEngine, SpatialPolicy};
-use planaria_sim::{
-    run_fabric, run_fabric_with, EnginePolicy, FabricStats, FabricTuning, SimState,
-};
-use planaria_telemetry::{ClusterRecording, Collector, RecordingCollector};
-use planaria_workload::{Request, SimResult};
+use planaria_core::{Cluster, DispatchPolicy, PlanariaEngine, SpatialPolicy};
+use planaria_sim::{EnginePolicy, SimState};
+use planaria_telemetry::Collector;
+use planaria_workload::Request;
 use std::sync::Arc;
 
 /// Which engine a heterogeneous cluster node runs.
@@ -60,113 +57,38 @@ impl EnginePolicy for MixedPolicy<'_> {
     }
 }
 
-/// A dispatcher whose work estimates come from each node's own library:
-/// a Planaria node advertises its fission chip's full-chip cycle counts,
-/// a PREMA node its monolithic chip's — so LeastWork horizons and QoS
-/// tightness reflect the hardware actually serving each node.
-fn mixed_dispatcher(
-    spatial: &PlanariaEngine,
-    temporal: &PremaEngine,
-    layout: &[NodeKind],
-    policy: DispatchPolicy,
-) -> ClusterDispatcher {
-    let libraries: Vec<_> = layout
-        .iter()
-        .map(|kind| match kind {
-            NodeKind::Spatial => spatial.library(),
-            NodeKind::Temporal => temporal.library(),
-        })
-        .collect();
-    ClusterDispatcher::heterogeneous(&libraries, policy)
-}
-
-/// Runs a heterogeneous cluster laid out by `layout`: node `i` runs
-/// `spatial` or `temporal` according to `layout[i]`, behind the shared
-/// online dispatcher (work estimates come from the Planaria engine's
-/// timing memo).
+/// A heterogeneous cluster laid out by `layout`: node `i` runs
+/// `spatial` or `temporal` according to `layout[i]`, behind one online
+/// dispatcher whose work estimates come from each node's own library — a
+/// Planaria node advertises its fission chip's full-chip cycle counts, a
+/// PREMA node its monolithic chip's — so LeastWork horizons and QoS
+/// tightness reflect the hardware actually serving each node. A
+/// recorded run shows the two node kinds as separate Chrome-trace
+/// processes.
 ///
 /// # Panics
 ///
-/// Panics if `layout` is empty, the two engines' clock frequencies
-/// differ, or the source yields arrivals out of order.
-pub fn run_mixed_cluster<I: IntoIterator<Item = Request>>(
-    spatial: &PlanariaEngine,
-    temporal: &PremaEngine,
+/// Panics if `layout` is empty. Running it panics if the two engines'
+/// clock frequencies differ.
+pub fn mixed_cluster<'a>(
+    spatial: &'a PlanariaEngine,
+    temporal: &'a PremaEngine,
     layout: &[NodeKind],
-    requests: I,
     policy: DispatchPolicy,
-    tuning: &FabricTuning,
-) -> (SimResult, FabricStats) {
-    assert!(!layout.is_empty(), "cluster needs at least one node");
-    let cfgs: Vec<AcceleratorConfig> = layout
-        .iter()
-        .map(|kind| match kind {
-            NodeKind::Spatial => *spatial.library().config(),
-            NodeKind::Temporal => *temporal.library().config(),
-        })
-        .collect();
-    let policies: Vec<MixedPolicy<'_>> = layout
-        .iter()
-        .map(|kind| match kind {
-            NodeKind::Spatial => MixedPolicy::Spatial(spatial.spatial_policy()),
-            NodeKind::Temporal => MixedPolicy::Temporal(temporal.node_policy()),
-        })
-        .collect();
-    let mut d = mixed_dispatcher(spatial, temporal, layout, policy);
-    run_fabric(&cfgs, policies, requests, &mut d, tuning)
-}
-
-/// [`run_mixed_cluster`] with full telemetry: dispatch decisions and
-/// load gauges in the fabric recorder, each node's kernel events in its
-/// own, merged node-id-deterministically into a [`ClusterRecording`] —
-/// so a heterogeneous fleet's Chrome trace shows Planaria fission nodes
-/// and PREMA monolithic nodes as separate processes.
-///
-/// # Panics
-///
-/// Panics if `layout` is empty, the two engines' clock frequencies
-/// differ, or the source yields arrivals out of order.
-pub fn run_mixed_cluster_recorded<I: IntoIterator<Item = Request>>(
-    spatial: &PlanariaEngine,
-    temporal: &PremaEngine,
-    layout: &[NodeKind],
-    requests: I,
-    policy: DispatchPolicy,
-    tuning: &FabricTuning,
-) -> (SimResult, FabricStats, ClusterRecording) {
-    assert!(!layout.is_empty(), "cluster needs at least one node");
-    let cfgs: Vec<AcceleratorConfig> = layout
-        .iter()
-        .map(|kind| match kind {
-            NodeKind::Spatial => *spatial.library().config(),
-            NodeKind::Temporal => *temporal.library().config(),
-        })
-        .collect();
-    let policies: Vec<MixedPolicy<'_>> = layout
-        .iter()
-        .map(|kind| match kind {
-            NodeKind::Spatial => MixedPolicy::Spatial(spatial.spatial_policy()),
-            NodeKind::Temporal => MixedPolicy::Temporal(temporal.node_policy()),
-        })
-        .collect();
-    let mut d = mixed_dispatcher(spatial, temporal, layout, policy);
-    let mut fabric = RecordingCollector::new();
-    let sinks: Vec<RecordingCollector> = layout.iter().map(|_| RecordingCollector::new()).collect();
-    let (result, stats, sinks) = run_fabric_with(
-        &cfgs,
-        policies,
-        requests,
-        &mut d,
-        tuning,
-        &mut fabric,
-        sinks,
-    );
-    let mut rec = ClusterRecording::new();
-    rec.fabric = fabric;
-    for (i, sink) in sinks.into_iter().enumerate() {
-        rec.nodes.insert(u32::try_from(i).unwrap_or(u32::MAX), sink);
-    }
-    (result, stats, rec)
+) -> Cluster<MixedPolicy<'a>> {
+    Cluster::new(
+        layout.iter().map(|kind| match kind {
+            NodeKind::Spatial => (
+                spatial.library(),
+                MixedPolicy::Spatial(spatial.spatial_policy()),
+            ),
+            NodeKind::Temporal => (
+                temporal.library(),
+                MixedPolicy::Temporal(temporal.node_policy()),
+            ),
+        }),
+        policy,
+    )
 }
 
 #[cfg(test)]
@@ -174,6 +96,7 @@ mod tests {
     use super::*;
     use crate::policy::Policy;
     use planaria_arch::AcceleratorConfig;
+    use planaria_core::FabricTuning;
     use planaria_workload::{QosLevel, Scenario, TraceConfig};
 
     fn engines() -> (PlanariaEngine, PremaEngine) {
@@ -188,14 +111,13 @@ mod tests {
         let (planaria, prema) = engines();
         let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 100.0, 12, 3).generate();
         let direct = prema.run(&trace);
-        let (mixed, _) = run_mixed_cluster(
+        let (mixed, _) = mixed_cluster(
             &planaria,
             &prema,
             &[NodeKind::Temporal],
-            trace.iter().copied(),
             DispatchPolicy::RoundRobin,
-            &FabricTuning::default(),
-        );
+        )
+        .run(trace.iter().copied(), &FabricTuning::default());
         assert_eq!(direct.completions, mixed.completions);
         assert_eq!(direct.total_energy, mixed.total_energy);
         assert_eq!(direct.makespan.to_bits(), mixed.makespan.to_bits());
@@ -206,14 +128,13 @@ mod tests {
         let (planaria, prema) = engines();
         let trace = TraceConfig::new(Scenario::B, QosLevel::Soft, 100.0, 12, 3).generate();
         let direct = planaria.run(&trace);
-        let (mixed, _) = run_mixed_cluster(
+        let (mixed, _) = mixed_cluster(
             &planaria,
             &prema,
             &[NodeKind::Spatial],
-            trace.iter().copied(),
             DispatchPolicy::LeastWork,
-            &FabricTuning::default(),
-        );
+        )
+        .run(trace.iter().copied(), &FabricTuning::default());
         assert_eq!(direct.completions, mixed.completions);
         assert_eq!(direct.total_energy, mixed.total_energy);
     }
@@ -223,22 +144,20 @@ mod tests {
         let (planaria, prema) = engines();
         let trace = TraceConfig::new(Scenario::B, QosLevel::Medium, 200.0, 20, 5).generate();
         let layout = [NodeKind::Spatial, NodeKind::Temporal];
-        let (plain, _) = run_mixed_cluster(
+        let (plain, _) = mixed_cluster(
             &planaria,
             &prema,
             &layout,
-            trace.iter().copied(),
             DispatchPolicy::JoinShortestQueue,
-            &FabricTuning::default(),
-        );
-        let (rec_result, _, rec) = run_mixed_cluster_recorded(
+        )
+        .run(trace.iter().copied(), &FabricTuning::default());
+        let (rec_result, _, rec) = mixed_cluster(
             &planaria,
             &prema,
             &layout,
-            trace.iter().copied(),
             DispatchPolicy::JoinShortestQueue,
-            &FabricTuning::default(),
-        );
+        )
+        .run_recorded(trace.iter().copied(), &FabricTuning::default());
         assert_eq!(plain.completions, rec_result.completions);
         assert_eq!(plain.total_energy, rec_result.total_energy);
         assert_eq!(rec.nodes.len(), 2);
@@ -258,14 +177,8 @@ mod tests {
             NodeKind::Temporal,
         ];
         for policy in DispatchPolicy::ALL {
-            let (r, stats) = run_mixed_cluster(
-                &planaria,
-                &prema,
-                &layout,
-                trace.iter().copied(),
-                policy,
-                &FabricTuning::default(),
-            );
+            let (r, stats) = mixed_cluster(&planaria, &prema, &layout, policy)
+                .run(trace.iter().copied(), &FabricTuning::default());
             assert_eq!(r.completions.len(), 30, "{policy:?}");
             assert!(stats.events > 0, "{policy:?}");
         }

@@ -110,22 +110,9 @@ impl PremaEngine {
     ///
     /// Panics if the source yields arrivals out of order.
     pub fn run_streamed<I: IntoIterator<Item = Request>>(&self, requests: I) -> SimResult {
-        self.run_streamed_with_collector(requests, &mut NullCollector)
-    }
-
-    /// [`run_streamed`](Self::run_streamed) with a telemetry collector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source yields arrivals out of order.
-    pub fn run_streamed_with_collector<C: Collector, I: IntoIterator<Item = Request>>(
-        &self,
-        requests: I,
-        c: &mut C,
-    ) -> SimResult {
         let cfg = *self.library.config();
         let mut policy = self.temporal_policy(&cfg);
-        planaria_sim::run_streamed(&cfg, requests, &mut policy, c)
+        planaria_sim::run_streamed(&cfg, requests, &mut policy, &mut NullCollector)
     }
 
     /// A fresh kernel policy for one simulation run (or one cluster

@@ -27,6 +27,6 @@ pub mod cluster;
 pub mod engine;
 pub mod policy;
 
-pub use cluster::{run_mixed_cluster, run_mixed_cluster_recorded, MixedPolicy, NodeKind};
+pub use cluster::{mixed_cluster, MixedPolicy, NodeKind};
 pub use engine::{PremaEngine, TemporalPolicy};
 pub use policy::{pick_with_threshold, Policy, TOKEN_THRESHOLD};

@@ -34,7 +34,7 @@ use crate::kernel::{EnginePolicy, NodeKernel, NodeSummary};
 use planaria_arch::AcceleratorConfig;
 use planaria_model::units::{Cycles, Picojoules};
 use planaria_parallel::{effective_jobs, par_map};
-use planaria_telemetry::{Collector, Counter, Event, Metric, NullCollector};
+use planaria_telemetry::{Collector, Counter, Event, Metric};
 use planaria_workload::{CompletionSink, DiscardSink, Request, SimResult, VecSink};
 use std::collections::VecDeque;
 
@@ -133,7 +133,16 @@ struct Lane<P, N, S: CompletionSink> {
 /// nodes advance in epoch-synchronized rounds fanned out via `par_map`.
 ///
 /// All nodes share one clock anchored at the stream's first arrival, so
-/// cross-node event timestamps are directly comparable.
+/// cross-node event timestamps are directly comparable. `fabric_c`
+/// records the dispatcher's decisions, round barriers, and per-node load
+/// gauges; `node_sinks[i]` rides inside node `i`'s lane and receives
+/// that kernel's events (arrivals, slices, completions, pod energy),
+/// exactly as a single-node collector would.
+///
+/// Per-node sinks move to workers with their lanes during `par_map`
+/// rounds and are returned in node-id order, so recording changes
+/// nothing about scheduling and the merge is byte-deterministic at any
+/// `PLANARIA_JOBS`; with `NullCollector`s every hook compiles away.
 ///
 /// # Panics
 ///
@@ -141,45 +150,8 @@ struct Lane<P, N, S: CompletionSink> {
 /// nodes, zero `max_batch`, mixed clock frequencies), if the source
 /// yields arrivals out of order, or if the dispatcher routes out of
 /// range.
-pub fn run_fabric<P, D, I>(
-    cfgs: &[AcceleratorConfig],
-    policies: Vec<P>,
-    requests: I,
-    dispatcher: &mut D,
-    tuning: &FabricTuning,
-) -> (SimResult, FabricStats)
-where
-    P: EnginePolicy + Send,
-    D: Dispatcher + ?Sized,
-    I: IntoIterator<Item = Request>,
-{
-    let n = policies.len();
-    let sinks: Vec<NullCollector> = (0..n).map(|_| NullCollector).collect();
-    let (result, stats, _) = run_fabric_with(
-        cfgs,
-        policies,
-        requests,
-        dispatcher,
-        tuning,
-        &mut NullCollector,
-        sinks,
-    );
-    (result, stats)
-}
-
-/// [`run_fabric`] with telemetry threaded through: `fabric_c` records
-/// the dispatcher's decisions, round barriers, and per-node load gauges;
-/// `node_sinks[i]` rides inside node `i`'s lane and receives that
-/// kernel's events (arrivals, slices, completions, pod energy), exactly
-/// as a single-node collector would.
-///
-/// Per-node sinks move to workers with their lanes during `par_map`
-/// rounds and are returned in node-id order, so recording changes
-/// nothing about scheduling and the merge is byte-deterministic at any
-/// `PLANARIA_JOBS` — running with `NullCollector`s is bit-identical to
-/// [`run_fabric`] by construction (it *is* `run_fabric`).
-// lint: telemetry threading adds two sinks to an already-wide entry
-// point; a builder would obscure the run_fabric delegation
+// lint: the fabric's inputs plus its two telemetry sinks; callers build
+// them through `planaria_core::Cluster`
 #[allow(clippy::too_many_arguments)]
 pub fn run_fabric_with<P, D, I, C, N>(
     cfgs: &[AcceleratorConfig],
@@ -560,6 +532,32 @@ mod tests {
         }
     }
 
+    /// The fabric without telemetry.
+    fn fabric<P, D, I>(
+        cfgs: &[AcceleratorConfig],
+        policies: Vec<P>,
+        requests: I,
+        dispatcher: &mut D,
+        tuning: &FabricTuning,
+    ) -> (SimResult, FabricStats)
+    where
+        P: EnginePolicy + Send,
+        D: Dispatcher,
+        I: IntoIterator<Item = Request>,
+    {
+        let sinks = vec![NullCollector; policies.len()];
+        let (result, stats, _) = run_fabric_with(
+            cfgs,
+            policies,
+            requests,
+            dispatcher,
+            tuning,
+            &mut NullCollector,
+            sinks,
+        );
+        (result, stats)
+    }
+
     fn fabric_trace(n: usize) -> Vec<Request> {
         (0..n).map(|i| req(i as u64, 0.002 * i as f64)).collect()
     }
@@ -569,7 +567,7 @@ mod tests {
         let cfg = planaria_arch::AcceleratorConfig::planaria();
         let trace = fabric_trace(12);
         let serial = run(&cfg, &trace, &mut policy(), &mut NullCollector);
-        let (fab, stats) = run_fabric(
+        let (fab, stats) = fabric(
             &[cfg],
             vec![policy()],
             trace.iter().copied(),
@@ -598,7 +596,7 @@ mod tests {
                 max_batch: 7,
             },
         ] {
-            let (r, _) = run_fabric(
+            let (r, _) = fabric(
                 &[cfg, cfg, cfg],
                 vec![policy(), policy(), policy()],
                 trace.iter().copied(),
@@ -616,7 +614,7 @@ mod tests {
     fn feedback_dispatcher_sees_loads_and_completes_everything() {
         let cfg = planaria_arch::AcceleratorConfig::planaria();
         let trace = fabric_trace(30);
-        let (r, stats) = run_fabric(
+        let (r, stats) = fabric(
             &[cfg, cfg, cfg],
             vec![policy(), policy(), policy()],
             trace.iter().copied(),
@@ -632,7 +630,7 @@ mod tests {
     #[test]
     fn empty_stream_yields_empty_result() {
         let cfg = planaria_arch::AcceleratorConfig::planaria();
-        let (r, stats) = run_fabric(
+        let (r, stats) = fabric(
             &[cfg, cfg],
             vec![policy(), policy()],
             std::iter::empty(),
@@ -651,7 +649,7 @@ mod tests {
         // completion set per node, identical finish timestamps.
         let cfg = planaria_arch::AcceleratorConfig::planaria();
         let trace = fabric_trace(20);
-        let (fab, _) = run_fabric(
+        let (fab, _) = fabric(
             &[cfg, cfg],
             vec![policy(), policy()],
             trace.iter().copied(),
@@ -709,7 +707,7 @@ mod tests {
         let fine = planaria_arch::AcceleratorConfig::latency_tuned();
         assert_eq!(coarse.freq_hz.to_bits(), fine.freq_hz.to_bits());
         let trace = fabric_trace(10);
-        let (r, _) = run_fabric(
+        let (r, _) = fabric(
             &[coarse, fine],
             vec![policy_for(coarse), policy_for(fine)],
             trace.iter().copied(),
@@ -730,7 +728,7 @@ mod tests {
     fn invalid_node_geometry_rejected() {
         let mut bad = planaria_arch::AcceleratorConfig::planaria();
         bad.subarray_dim = 48;
-        let _ = run_fabric(
+        let _ = fabric(
             &[bad],
             vec![policy()],
             std::iter::once(req(0, 0.0)),
@@ -745,7 +743,7 @@ mod tests {
         let a = planaria_arch::AcceleratorConfig::planaria();
         let mut b = a;
         b.freq_hz = a.freq_hz * 2.0;
-        let _ = run_fabric(
+        let _ = fabric(
             &[a, b],
             vec![policy(), policy()],
             std::iter::once(req(0, 0.0)),

@@ -700,9 +700,10 @@ pub fn run_streamed<P: EnginePolicy, C: Collector, I: IntoIterator<Item = Reques
 /// instead of an in-memory vector: the fully flat-memory exactness path.
 /// With a [`SpillSink`](planaria_workload::SpillSink) a 10⁷-request run
 /// holds O(live tenants + one spill buffer) regardless of trace length,
-/// and the returned sink replays every completion in request-id order;
-/// with a [`SketchSink`](planaria_workload::SketchSink) it yields
-/// fixed-memory latency percentiles. Scheduling is identical to
+/// and the returned sink replays every completion in request-id order
+/// (fixed-memory latency percentiles come from a
+/// [`StatsCollector`](planaria_telemetry::StatsCollector) passed as `c`,
+/// not from the sink). Scheduling is identical to
 /// [`run_streamed`] — the sink only decides what is *remembered* — and
 /// the returned [`NodeSummary`] carries the aggregate tallies plus the
 /// split-out static energy the digest replay needs.

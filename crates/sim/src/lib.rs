@@ -22,7 +22,7 @@
 //!   time-domain lint, which allowlists exactly `clock.rs`).
 //! - [`run`]: the event loop. Engines plug in as [`EnginePolicy`]
 //!   implementations that keep only their scheduling decision logic.
-//! - [`NodeKernel`] + [`run_fabric`]: the loop reified as a resumable
+//! - [`NodeKernel`] + [`run_fabric_with`]: the loop reified as a resumable
 //!   per-node kernel, and the epoch-synchronized multi-node drive that
 //!   fans a cluster of them out across cores behind an online
 //!   [`Dispatcher`] — bit-deterministic at any worker count.
@@ -47,8 +47,8 @@ mod tenant;
 
 pub use clock::SimClock;
 pub use fabric::{
-    run_fabric, run_fabric_summary, run_fabric_with, Dispatcher, FabricStats, FabricSummary,
-    FabricTuning, NodeLoad,
+    run_fabric_summary, run_fabric_with, Dispatcher, FabricStats, FabricSummary, FabricTuning,
+    NodeLoad,
 };
 pub use kernel::{
     run, run_streamed, run_streamed_sink, EnginePolicy, NodeKernel, NodeSummary, SimState,

@@ -1,4 +1,6 @@
-//! Exporters: Chrome trace-event JSON and a TSV occupancy timeline.
+//! Exporters and occupancy analyses: Chrome trace-event JSON, a TSV
+//! occupancy timeline, and the text occupancy strip, reconfiguration
+//! count and mean occupancy of `planaria-cli simulate --timeline`.
 //!
 //! The Chrome format (loadable in Perfetto or `chrome://tracing`) maps
 //! the recording onto:
@@ -18,7 +20,7 @@
 //! is globally monotonic and byte-deterministic.
 
 use crate::collector::RecordingCollector;
-use crate::event::Event;
+use crate::event::{Event, TimedEvent};
 use crate::json::escape;
 use planaria_model::units::Cycles;
 use std::collections::BTreeMap;
@@ -126,11 +128,7 @@ pub fn chrome_trace(rec: &RecordingCollector) -> String {
                     us(ts)
                 );
                 push(&mut body, ts, line);
-                if to == 0 {
-                    live.remove(&tenant);
-                } else {
-                    live.insert(tenant, to);
-                }
+                replay(&mut live, &te.event);
                 let used: u32 = live.values().sum();
                 let counter = format!(
                     "{{\"name\":\"occupancy\",\"ph\":\"C\",\"pid\":{CHIP_PID},\"tid\":{MODEL_TID},\"ts\":{},\"args\":{{\"subarrays\":{used}}}}}",
@@ -210,7 +208,7 @@ pub fn chrome_trace(rec: &RecordingCollector) -> String {
                     latency.get()
                 );
                 push(&mut body, ts, line);
-                live.remove(&tenant);
+                replay(&mut live, &te.event);
                 let used: u32 = live.values().sum();
                 let counter = format!(
                     "{{\"name\":\"occupancy\",\"ph\":\"C\",\"pid\":{CHIP_PID},\"tid\":{MODEL_TID},\"ts\":{},\"args\":{{\"subarrays\":{used}}}}}",
@@ -325,19 +323,7 @@ pub fn occupancy_tsv(rec: &RecordingCollector) -> String {
     let mut live: BTreeMap<u64, u32> = BTreeMap::new();
     let mut out = String::from("cycles\ttime_s\tused_subarrays\toccupancy_pct\n");
     for te in rec.events() {
-        let changed = match te.event {
-            Event::Allocation { tenant, to, .. } => {
-                if to == 0 {
-                    live.remove(&tenant);
-                } else {
-                    live.insert(tenant, to);
-                }
-                true
-            }
-            Event::Completion { tenant, .. } => live.remove(&tenant).is_some(),
-            _ => false,
-        };
-        if changed {
+        if replay(&mut live, &te.event) {
             let used: u32 = live.values().sum();
             let _ = writeln!(
                 out,
@@ -347,6 +333,111 @@ pub fn occupancy_tsv(rec: &RecordingCollector) -> String {
                 f64::from(used) * 100.0 / f64::from(total)
             );
         }
+    }
+    out
+}
+
+/// The scheduling events the occupancy analyses replay: arrivals,
+/// allocation changes and completions. Other kinds (exec slices, pod
+/// energy, ...) carry their own timestamps and would stretch the span.
+fn occupancy_events(rec: &RecordingCollector) -> impl Iterator<Item = &TimedEvent> {
+    rec.events().iter().filter(|te| {
+        matches!(
+            te.event,
+            Event::Arrival { .. } | Event::Allocation { .. } | Event::Completion { .. }
+        )
+    })
+}
+
+/// Replays one event into the live per-tenant allocation map (a queued
+/// tenant, `to == 0`, holds nothing). Returns whether occupancy may have
+/// changed: on every allocation change, and on the completion of a
+/// tenant that held subarrays.
+fn replay(live: &mut BTreeMap<u64, u32>, event: &Event) -> bool {
+    match *event {
+        Event::Allocation { tenant, to: 0, .. } => {
+            live.remove(&tenant);
+            true
+        }
+        Event::Allocation { tenant, to, .. } => {
+            live.insert(tenant, to);
+            true
+        }
+        Event::Completion { tenant, .. } => live.remove(&tenant).is_some(),
+        _ => false,
+    }
+}
+
+/// Number of allocation changes that resized or preempted a *running*
+/// tenant (`from > 0` and `from != to`). Unlike
+/// [`Counter::Reconfigurations`](crate::Counter::Reconfigurations),
+/// which counts only the resizes that paid the §IV-C cost, this counts
+/// every such change the scheduler made.
+pub fn reconfigurations(rec: &RecordingCollector) -> usize {
+    rec.events()
+        .iter()
+        .filter(
+            |te| matches!(te.event, Event::Allocation { from, to, .. } if from > 0 && from != to),
+        )
+        .count()
+}
+
+/// Time-weighted mean chip occupancy (allocated subarrays / total) from
+/// the first to the last arrival, allocation change or completion.
+pub fn mean_occupancy(rec: &RecordingCollector) -> f64 {
+    let total = f64::from(rec.meta().total_subarrays.max(1));
+    let mut live: BTreeMap<u64, u32> = BTreeMap::new();
+    let mut last_t: Option<Cycles> = None;
+    let mut acc = 0.0;
+    let mut span = 0.0;
+    for te in occupancy_events(rec) {
+        if let Some(prev) = last_t {
+            let dt = te.ts.saturating_sub(prev).as_f64();
+            let used: u32 = live.values().sum();
+            acc += dt * f64::from(used) / total;
+            span += dt;
+        }
+        last_t = Some(te.ts);
+        replay(&mut live, &te.event);
+    }
+    if span > 0.0 {
+        acc / span
+    } else {
+        0.0
+    }
+}
+
+/// Renders a coarse text strip of chip occupancy: `buckets` columns,
+/// each the occupancy decile (0-9) sampled mid-column, prefixed by the
+/// span's bounds in seconds.
+pub fn render_occupancy(rec: &RecordingCollector, buckets: usize) -> String {
+    let events: Vec<&TimedEvent> = occupancy_events(rec).collect();
+    let (c0, c1) = match (events.first(), events.last()) {
+        (Some(first), Some(last)) if buckets > 0 => (first.ts, last.ts),
+        _ => return String::from("(empty trace)"),
+    };
+    let meta = rec.meta();
+    let span = (c1.as_f64() - c0.as_f64()).max(1e-12);
+    let mut live: BTreeMap<u64, u32> = BTreeMap::new();
+    let mut pending = events.iter().peekable();
+    let freq = if meta.freq_hz > 0.0 {
+        meta.freq_hz
+    } else {
+        1.0
+    };
+    let mut out = format!(
+        "occupancy [{:.4}s..{:.4}s] ",
+        c0.seconds_at(freq),
+        c1.seconds_at(freq)
+    );
+    for b in 0..buckets {
+        let t = c0.as_f64() + span * (b as f64 + 0.5) / buckets as f64;
+        while let Some(te) = pending.next_if(|te| te.ts.as_f64() <= t) {
+            replay(&mut live, &te.event);
+        }
+        let used: u32 = live.values().sum();
+        let decile = (u64::from(used) * 9 / u64::from(meta.total_subarrays.max(1))).min(9);
+        let _ = write!(out, "{decile}");
     }
     out
 }
@@ -419,6 +510,118 @@ mod tests {
             },
         );
         c
+    }
+
+    /// Two tenants sharing a 16-subarray chip at 1 Hz (one cycle == one
+    /// second keeps expectations readable), plus a late exec slice that
+    /// the occupancy analyses must ignore.
+    fn occupancy_recording() -> RecordingCollector {
+        let mut c = RecordingCollector::new();
+        c.set_meta(SimMeta {
+            freq_hz: 1.0,
+            total_subarrays: 16,
+        });
+        let events = [
+            (
+                0,
+                Event::Arrival {
+                    tenant: 0,
+                    dnn: DnnId::ResNet50,
+                },
+            ),
+            (
+                0,
+                Event::Allocation {
+                    tenant: 0,
+                    from: 0,
+                    to: 16,
+                    mask: 0xffff,
+                },
+            ),
+            (
+                1,
+                Event::Arrival {
+                    tenant: 1,
+                    dnn: DnnId::Gnmt,
+                },
+            ),
+            (
+                1,
+                Event::Allocation {
+                    tenant: 0,
+                    from: 16,
+                    to: 8,
+                    mask: 0xff,
+                },
+            ),
+            (
+                1,
+                Event::Allocation {
+                    tenant: 1,
+                    from: 0,
+                    to: 8,
+                    mask: 0xff00,
+                },
+            ),
+            (
+                2,
+                Event::Completion {
+                    tenant: 0,
+                    latency: Cycles::new(2),
+                },
+            ),
+            (
+                3,
+                Event::Completion {
+                    tenant: 1,
+                    latency: Cycles::new(2),
+                },
+            ),
+            (
+                9,
+                Event::ExecSlice {
+                    tenant: 1,
+                    subarrays: 8,
+                    mask: 0xff00,
+                    start: Cycles::new(1),
+                    duration: Cycles::new(8),
+                },
+            ),
+        ];
+        for (ts, event) in events {
+            c.record(Cycles::new(ts), event);
+        }
+        c
+    }
+
+    #[test]
+    fn reconfigurations_count_running_resizes_only() {
+        // Only tenant 0's 16 -> 8 resize is a reconfiguration; initial
+        // grants from 0 are fresh starts.
+        assert_eq!(reconfigurations(&occupancy_recording()), 1);
+    }
+
+    #[test]
+    fn occupancy_accounts_time_weighted() {
+        // [0,1): 16/16; [1,2): 16/16 (8+8); [2,3): 8/16 → mean = 5/6.
+        let occ = mean_occupancy(&occupancy_recording());
+        assert!((occ - (1.0 + 1.0 + 0.5) / 3.0).abs() < 1e-9, "got {occ}");
+    }
+
+    #[test]
+    fn timeline_renders_with_requested_width() {
+        let s = render_occupancy(&occupancy_recording(), 10);
+        assert!(s.starts_with("occupancy [0.0000s..3.0000s] "), "{s}");
+        let digits: String = s.chars().rev().take(10).collect();
+        assert!(digits.chars().all(|c| c.is_ascii_digit()));
+    }
+
+    #[test]
+    fn empty_trace_renders_placeholder() {
+        let empty = RecordingCollector::new();
+        assert_eq!(render_occupancy(&empty, 8), "(empty trace)");
+        assert_eq!(render_occupancy(&occupancy_recording(), 0), "(empty trace)");
+        assert_eq!(mean_occupancy(&empty), 0.0);
     }
 
     #[test]

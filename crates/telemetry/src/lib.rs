@@ -58,7 +58,7 @@ pub mod metrics;
 pub mod sketch;
 pub mod validate;
 
-pub use chrome::{chrome_trace, occupancy_tsv};
+pub use chrome::{chrome_trace, mean_occupancy, occupancy_tsv, reconfigurations, render_occupancy};
 pub use cluster::{cluster_chrome_trace, ClusterRecording};
 pub use collector::{Collector, NullCollector, RecordingCollector, StatsCollector};
 pub use event::{Event, SimMeta, TimedEvent};

@@ -36,5 +36,5 @@ pub use qos::{qos_bound, QosLevel};
 pub use request::{
     digest_version, Completion, DigestBuilder, LatencyStats, Request, SimResult, DIGEST_VERSION,
 };
-pub use sink::{CompletionSink, DiscardSink, SketchSink, SpillReader, SpillSink, VecSink};
+pub use sink::{CompletionSink, DiscardSink, SpillReader, SpillSink, VecSink};
 pub use trace::{Scenario, TraceConfig, TraceStream};

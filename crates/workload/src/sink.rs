@@ -3,8 +3,8 @@
 //! A simulation retires one [`Completion`] per request. What should
 //! happen to it depends on the caller: figure binaries want the full
 //! vector ([`VecSink`]), cluster sweeps want aggregate stats only
-//! ([`DiscardSink`]), flat-memory percentile reporting wants a
-//! fixed-size quantile sketch ([`SketchSink`]), and the 10⁷-request
+//! ([`DiscardSink`]; their latency percentiles come from the telemetry
+//! `StatsCollector`'s sketch), and the 10⁷-request
 //! exactness oracle wants every completion *without holding any of
 //! them* — a buffered on-disk spill with a sorted replay
 //! ([`SpillSink`]). The kernel is generic over the [`CompletionSink`]
@@ -43,7 +43,6 @@ use crate::request::Completion;
 use crate::Request;
 use planaria_model::units::{Cycles, Picojoules};
 use planaria_model::DnnId;
-use planaria_telemetry::CycleSketch;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
@@ -85,20 +84,6 @@ pub struct DiscardSink;
 
 impl CompletionSink for DiscardSink {
     fn record(&mut self, _completion: Completion, _latency: Cycles) {}
-}
-
-/// Streams integer-cycle latencies into a fixed-memory [`CycleSketch`]:
-/// p50/p99/SLA reporting for runs that never materialize completions.
-#[derive(Debug, Clone, Default)]
-pub struct SketchSink {
-    /// The latency sketch (≤ 1/32 relative percentile over-report).
-    pub sketch: CycleSketch,
-}
-
-impl CompletionSink for SketchSink {
-    fn record(&mut self, _completion: Completion, latency: Cycles) {
-        self.sketch.record(latency.get());
-    }
 }
 
 /// Bytes per spilled completion record (see the module docs for the
@@ -367,15 +352,6 @@ mod tests {
         s.record(completion(1, 2.0), Cycles::new(20));
         assert_eq!(s.completions.len(), 2);
         assert_eq!(s.completions[0].request.id, 2);
-    }
-
-    #[test]
-    fn sketch_sink_records_latency_cycles() {
-        let mut s = SketchSink::default();
-        s.record(completion(1, 1.0), Cycles::new(700));
-        s.record(completion(2, 1.0), Cycles::new(1400));
-        assert_eq!(s.sketch.count(), 2);
-        assert_eq!(s.sketch.min(), Some(700));
     }
 
     #[test]

@@ -5,14 +5,16 @@
 //! bit-identical to the materialized one.
 //!
 //! The comparison is the strongest observable the engines expose: the
-//! full telemetry event stream (`EngineTrace` records every per-event
-//! allocation change, placement mask, reconfiguration and queue interval)
-//! plus the exact `SimResult`. If any event's allocations, placements or
-//! hints diverged, the streams would differ at that event.
+//! full `RecordingCollector` event stream — every kind, including each
+//! allocation change, placement mask, exec slice, reconfiguration and
+//! queue interval — plus its counters and the exact `SimResult`. If any
+//! event's allocations, placements or hints diverged, the streams would
+//! differ at that event.
 
 use planaria::arch::AcceleratorConfig;
 use planaria::core::{CompiledLibrary, PlanariaEngine, SchedulingMode};
 use planaria::model::SplitMix64;
+use planaria::telemetry::RecordingCollector;
 use planaria::workload::{QosLevel, Scenario, TraceConfig};
 
 fn scenarios() -> [Scenario; 3] {
@@ -68,8 +70,9 @@ fn incremental_matches_full_rescan_oracle_at_every_event() {
             .chain([saturated_case()])
         {
             let trace = cfg.generate();
-            let (r_inc, t_inc) = incremental.run_traced(&trace);
-            let (r_full, t_full) = oracle.run_traced(&trace);
+            let (mut t_inc, mut t_full) = (RecordingCollector::new(), RecordingCollector::new());
+            let r_inc = incremental.run_with_collector(&trace, &mut t_inc);
+            let r_full = oracle.run_with_collector(&trace, &mut t_full);
             assert_eq!(
                 r_inc.completions, r_full.completions,
                 "{mode:?} {cfg:?}: completions diverged"
@@ -90,6 +93,11 @@ fn incremental_matches_full_rescan_oracle_at_every_event() {
             for (i, (a, b)) in t_inc.events().iter().zip(t_full.events()).enumerate() {
                 assert_eq!(a, b, "{mode:?} {cfg:?}: event #{i} diverged");
             }
+            assert_eq!(
+                t_inc.counters(),
+                t_full.counters(),
+                "{mode:?} {cfg:?}: counters diverged"
+            );
         }
     }
 }
