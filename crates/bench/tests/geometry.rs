@@ -6,6 +6,7 @@
 use planaria_arch::AcceleratorConfig;
 use planaria_core::{DispatchPolicy, FabricTuning, GeoFleet, PlanariaEngine};
 use planaria_parallel::JOBS_ENV;
+use planaria_telemetry::Event;
 use planaria_workload::{QosLevel, Scenario, TraceConfig};
 
 /// Runs `f` with `PLANARIA_JOBS` pinned to `jobs`.
@@ -100,4 +101,55 @@ fn heterogeneous_fleet_is_byte_deterministic_across_job_counts() {
         stats_run("2"),
         "hetero stats path differs between jobs=1 and jobs=2"
     );
+}
+
+/// FNV-1a over little-endian words (the same mixing as the result digest).
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn pod_energy_attribution_is_pinned_across_pod_shapes() {
+    // One pod per subarray on a chip wider than a u64 mask (80
+    // subarrays), next to the paper chip's four-subarray pods: the kernel's
+    // per-pod energy attribution is pinned bit for bit, event by event.
+    let wide = AcceleratorConfig::builder()
+        .pe_array(160, 128)
+        .subarray_dim(16)
+        .subarrays_per_pod(1)
+        .build()
+        .expect("valid geometry");
+    assert_eq!((wide.num_subarrays(), wide.num_pods()), (80, 80));
+    let fleet = GeoFleet::new(&[AcceleratorConfig::planaria(), wide]).expect("valid fleet");
+    let trace = TraceConfig::new(Scenario::C, QosLevel::Medium, 300.0, 60, 5).generate();
+    let (result, _, rec) = fleet
+        .cluster(DispatchPolicy::GeometryAware)
+        .run_recorded(trace.iter().copied(), &FabricTuning::default());
+    assert_eq!(result.completions.len(), 60);
+    let mut words = Vec::new();
+    let mut wide_pods = 0;
+    for (&node, c) in &rec.nodes {
+        for e in c.events() {
+            if let Event::PodEnergy { pod, energy } = e.event {
+                if node == 1 {
+                    wide_pods = wide_pods.max(pod + 1);
+                }
+                words.extend([
+                    u64::from(node),
+                    e.ts.get(),
+                    u64::from(pod),
+                    energy.as_pj().to_bits(),
+                ]);
+            }
+        }
+    }
+    assert!(wide_pods > 64, "attribution must reach pods past bit 63");
+    assert_eq!((words.len() / 4, fnv(words)), (1000, 0xb117_fad2_2fc5_d47e));
 }

@@ -286,48 +286,6 @@ impl Dispatcher for ClusterDispatcher {
     }
 }
 
-/// Splits a trace over `nodes` according to `policy` — the offline
-/// projection of the online dispatcher.
-///
-/// For the open-loop policies (LeastWork, RoundRobin, DnnAffinity) this
-/// is exactly the routing the fabric performs: their decisions depend
-/// only on the arrival stream and dispatcher-local state. The feedback
-/// policies are projected with an empty load snapshot (only the
-/// dispatcher's own routed counts feed back), so the split shows their
-/// no-load balancing behavior.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero.
-pub fn dispatch(
-    engine: &PlanariaEngine,
-    nodes: usize,
-    trace: &[Request],
-    policy: DispatchPolicy,
-) -> Vec<Vec<Request>> {
-    let clock = SimClock::new(
-        trace.first().map_or(0.0, |r| r.arrival),
-        engine.library().config().freq_hz,
-    );
-    let mut d = ClusterDispatcher::new(engine.library(), nodes, policy);
-    // The projection is over identical nodes; stamp their (uniform)
-    // capacity so geometry-reading policies see real values.
-    let load0 = NodeLoad {
-        subarrays: engine.library().config().num_subarrays(),
-        pes: engine.library().config().total_pes(),
-        ..NodeLoad::default()
-    };
-    let mut loads = vec![load0; nodes];
-    let mut per_node: Vec<Vec<Request>> = vec![Vec::new(); nodes];
-    for r in trace {
-        let at = clock.cycles_from_seconds(r.arrival);
-        let target = d.route(r, at, &clock, &loads);
-        loads[target].routed += 1;
-        per_node[target].push(*r);
-    }
-    per_node
-}
-
 /// Aggregate result of the flat-memory cluster path: counts, energy and
 /// percentile sketches without ever materializing a completion vector.
 #[derive(Debug, Clone, Default)]
@@ -531,6 +489,44 @@ mod tests {
         Cluster::uniform(e, nodes, policy)
             .run(trace.iter().copied(), &FabricTuning::default())
             .0
+    }
+
+    /// Splits a trace over `nodes` according to `policy` — the offline
+    /// projection of the online dispatcher, kept as the routing reference.
+    ///
+    /// For the open-loop policies (LeastWork, RoundRobin, DnnAffinity) this
+    /// is exactly the routing the fabric performs: their decisions depend
+    /// only on the arrival stream and dispatcher-local state. The feedback
+    /// policies are projected with an empty load snapshot (only the
+    /// dispatcher's own routed counts feed back), so the split shows their
+    /// no-load balancing behavior.
+    fn dispatch(
+        engine: &PlanariaEngine,
+        nodes: usize,
+        trace: &[Request],
+        policy: DispatchPolicy,
+    ) -> Vec<Vec<Request>> {
+        let clock = SimClock::new(
+            trace.first().map_or(0.0, |r| r.arrival),
+            engine.library().config().freq_hz,
+        );
+        let mut d = ClusterDispatcher::new(engine.library(), nodes, policy);
+        // The projection is over identical nodes; stamp their (uniform)
+        // capacity so geometry-reading policies see real values.
+        let load0 = NodeLoad {
+            subarrays: engine.library().config().num_subarrays(),
+            pes: engine.library().config().total_pes(),
+            ..NodeLoad::default()
+        };
+        let mut loads = vec![load0; nodes];
+        let mut per_node: Vec<Vec<Request>> = vec![Vec::new(); nodes];
+        for r in trace {
+            let at = clock.cycles_from_seconds(r.arrival);
+            let target = d.route(r, at, &clock, &loads);
+            loads[target].routed += 1;
+            per_node[target].push(*r);
+        }
+        per_node
     }
 
     #[test]

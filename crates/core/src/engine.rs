@@ -507,6 +507,22 @@ impl EnginePolicy for SpatialPolicy<'_> {
         let chip = &mut self.chip;
         s.alloc.clear();
         match self.mode {
+            // A lone tenant: its estimate never exceeds the chip, so
+            // `ALLOCATEFITTASKS` grants the estimate plus the whole spare
+            // (its proportional score is the whole score sum, and
+            // `score / sum` is exactly 1.0) — the chip, whatever the
+            // estimate. Both phases are skipped. The memo is left as it
+            // was: it is keyed on the work counters and a floor proven at
+            // a wider slack stays a floor (DESIGN §5f). A zero priority
+            // scores 0/0 and is granted only one spare subarray, so it
+            // takes the full path.
+            SchedulingMode::Spatial
+                if self.incremental
+                    && sim.tenants.len() == 1
+                    && sim.tenants[0].request.priority != 0 =>
+            {
+                s.alloc.push(total);
+            }
             SchedulingMode::Spatial => {
                 // Estimate phase: columnar views plus `ESTIMATERESOURCES`,
                 // seeded from each tenant's own memo. Clean entries inside the
@@ -827,6 +843,45 @@ mod tests {
             (latency / isolated - 1.0).abs() < 0.01,
             "latency {latency}, isolated {isolated}"
         );
+    }
+
+    #[test]
+    fn lone_tenant_is_granted_the_whole_chip() {
+        // A QoS budget so loose that a few subarrays would meet it: the
+        // lone tenant still gets the whole chip, on the incremental path
+        // and on the full-rescan oracle alike. A zero priority is the
+        // exception (its fit score is 0/0), and both paths agree on it.
+        let e = engine();
+        let total = e.library.config().num_subarrays();
+        let r = single_request(DnnId::GoogLeNet, 1e3);
+        let compiled = e.library.shared(r.dnn);
+        let estimate = SchedTask {
+            priority: r.priority,
+            slack: (r.qos * e.library.config().freq_hz) as i64,
+            done: 0.0,
+            compiled: &compiled,
+        }
+        .estimate_resources(total);
+        assert!(estimate < total, "estimate {estimate} of {total}");
+        let grants = |r: Request, incremental: bool| -> Vec<u32> {
+            let mut rec = RecordingCollector::new();
+            PlanariaEngine::with_library(e.library.clone())
+                .with_incremental(incremental)
+                .run_with_collector(&[r], &mut rec);
+            rec.events()
+                .iter()
+                .filter_map(|t| match t.event {
+                    Event::Allocation { to, .. } => Some(to),
+                    _ => None,
+                })
+                .collect()
+        };
+        for incremental in [true, false] {
+            assert_eq!(grants(r, incremental), [total], "incremental={incremental}");
+        }
+        let unprioritized = Request { priority: 0, ..r };
+        assert_eq!(grants(unprioritized, true), [estimate + 1]);
+        assert_eq!(grants(unprioritized, false), [estimate + 1]);
     }
 
     #[test]

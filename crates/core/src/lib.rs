@@ -32,8 +32,7 @@ pub mod sched_state;
 pub mod scheduler;
 
 pub use cluster::{
-    dispatch, min_nodes_for_sla, run_cluster_stats, Cluster, ClusterDispatcher, ClusterStats,
-    DispatchPolicy,
+    min_nodes_for_sla, run_cluster_stats, Cluster, ClusterDispatcher, ClusterStats, DispatchPolicy,
 };
 pub use engine::{PlanariaEngine, SchedulingMode, SpatialPolicy};
 pub use fleet::GeoFleet;

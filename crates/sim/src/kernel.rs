@@ -149,6 +149,12 @@ pub struct NodeKernel<S: CompletionSink = VecSink> {
     /// The value last exported per pod, so counter samples are emitted
     /// only when a pod's total moved.
     pod_emitted: [f64; MAX_PODS],
+    /// Subarrays per pod (at least 1): the mask stride of one pod.
+    per_pod: u32,
+    /// The low `per_pod` bits: one pod's slice of a placement mask.
+    pod_bits: u128,
+    /// Pods whose energy totals are exported (capped at [`MAX_PODS`]).
+    pods: u32,
 }
 
 /// Aggregate view of a finished node when completions are not kept
@@ -208,6 +214,7 @@ impl<S: CompletionSink> NodeKernel<S> {
     /// A fresh kernel retiring into `sink` (see [`CompletionSink`] for
     /// the menu: vector, sketch, disk spill, discard).
     pub fn with_sink(cfg: &AcceleratorConfig, clock: SimClock, sink: S) -> Self {
+        let per_pod = cfg.subarrays_per_pod.max(1);
         Self {
             sim: SimState::new_for(*cfg, clock),
             queue: EventQueue::new(),
@@ -224,6 +231,11 @@ impl<S: CompletionSink> NodeKernel<S> {
             summary_energy: Picojoules::ZERO,
             pod_pj: [0.0; MAX_PODS],
             pod_emitted: [0.0; MAX_PODS],
+            per_pod,
+            pod_bits: 1u128.checked_shl(per_pod).map_or(u128::MAX, |b| b - 1),
+            // `num_pods`, without its division by zero on a hand-built
+            // config with no pod size.
+            pods: (cfg.num_subarrays() / per_pod).clamp(1, MAX_PODS as u32),
         }
     }
 
@@ -358,15 +370,18 @@ impl<S: CompletionSink> NodeKernel<S> {
         }
 
         let track_pods = c.is_enabled();
-        let per_pod = self.sim.cfg.subarrays_per_pod.max(1);
         while let Some((t_next, completion_due)) = self.next_event_before(bound) {
             self.events += 1;
             // Advance every allocated tenant to the event time. The chip
             // is busy whenever anyone holds subarrays. With telemetry on,
             // each tenant's dynamic-energy delta is attributed evenly
-            // across the subarrays it holds, accumulated per pod.
-            // `advance(0)` is a no-op for every tenant (and contributes
-            // no busy span), so a zero-width step skips the scan whole.
+            // across the subarrays it holds, accumulated per pod. The
+            // mask is walked one pod at a time, adding the share once per
+            // subarray held in the pod: each pod gets the same adds in the
+            // same order as a walk bit by bit, so the totals are
+            // bit-exact, without a division per bit. `advance(0)` is a
+            // no-op for every tenant (and contributes no busy span), so a
+            // zero-width step skips the scan whole.
             let dt = t_next.saturating_sub(self.sim.now);
             if !dt.is_zero() {
                 let mut any_allocated = false;
@@ -380,10 +395,13 @@ impl<S: CompletionSink> NodeKernel<S> {
                             if delta > 0.0 && t.mask != 0 {
                                 let share = delta / f64::from(t.mask.count_ones());
                                 let mut m = t.mask;
+                                let mut pod = 0;
                                 while m != 0 {
-                                    let bit = m.trailing_zeros();
-                                    m &= m - 1;
-                                    self.pod_pj[(bit / per_pod) as usize] += share;
+                                    for _ in 0..(m & self.pod_bits).count_ones() {
+                                        self.pod_pj[pod] += share;
+                                    }
+                                    m = m.checked_shr(self.per_pod).unwrap_or(0);
+                                    pod += 1;
                                 }
                             }
                         } else {
@@ -520,8 +538,7 @@ impl<S: CompletionSink> NodeKernel<S> {
             // Export pod energy counters only when a completion closed
             // this event and a pod's cumulative total actually moved.
             if track_pods && retired_any {
-                let pods = self.sim.cfg.num_pods().min(MAX_PODS as u32);
-                for pod in 0..pods {
+                for pod in 0..self.pods {
                     let cur = self.pod_pj[pod as usize];
                     if cur != self.pod_emitted[pod as usize] {
                         self.pod_emitted[pod as usize] = cur;

@@ -54,7 +54,7 @@ impl ClusterRecording {
     }
 
     /// Fabric plus all node metrics merged in node-id order. Merging is
-    /// commutative bucket-wise sums over `BTreeMap`s, so the result is
+    /// commutative enum-ordered bucket-wise sums, so the result is
     /// byte-deterministic at any `PLANARIA_JOBS`.
     pub fn merged_report(&self) -> MetricsReport {
         let mut out = self.fabric.report();

@@ -9,9 +9,10 @@
 //!   [`NullCollector`], whose methods are all `#[inline]` no-ops so the
 //!   disabled path costs nothing and simulation results stay
 //!   bit-identical; [`RecordingCollector`], a deterministic
-//!   `BTreeMap`-backed recorder; and [`StatsCollector`], which keeps
-//!   only counters, histograms, and quantile sketches so flat-memory
-//!   runs still report percentiles;
+//!   event recorder; and [`StatsCollector`], which keeps only counters,
+//!   histograms, and quantile sketches so flat-memory runs still report
+//!   percentiles (both aggregate into one flat, enum-indexed
+//!   [`MetricsReport`]);
 //! * a streaming quantile sketch ([`CycleSketch`]): a fixed
 //!   `[u64; 1920]` log-linear histogram over integer cycles with a
 //!   documented `≤ 1/32` relative over-report bound, merged bucket-wise
@@ -43,8 +44,8 @@
 //!
 //! Everything recorded is a pure function of the simulation state:
 //! timestamps are simulated [`Cycles`](planaria_model::units::Cycles)
-//! (converted to microseconds only at render time), aggregation uses
-//! `BTreeMap`s, and no wall clock or entropy is consulted anywhere.
+//! (converted to microseconds only at render time), aggregates iterate
+//! in enum order, and no wall clock or entropy is consulted anywhere.
 //! Recording the same run twice yields byte-identical exports, and
 //! running with [`NullCollector`] is bit-identical to not instrumenting
 //! at all (the engines' `run` methods *are* the `NullCollector` path).

@@ -2,7 +2,6 @@
 //! [`MetricsReport`].
 
 use crate::sketch::CycleSketch;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Monotonic counters. Every variant is a plain occurrence or cycle/byte
@@ -52,6 +51,29 @@ pub enum Counter {
 }
 
 impl Counter {
+    /// Every counter, in declaration (report) order; `ALL[c as usize] == c`.
+    pub const ALL: [Counter; 19] = [
+        Counter::Arrivals,
+        Counter::Completions,
+        Counter::SchedulingEvents,
+        Counter::Reconfigurations,
+        Counter::Preemptions,
+        Counter::DrainCycles,
+        Counter::CheckpointCycles,
+        Counter::ConfigSwapCycles,
+        Counter::RefillCycles,
+        Counter::CheckpointBytes,
+        Counter::MemoHits,
+        Counter::MemoMisses,
+        Counter::DistinctShapes,
+        Counter::LayersCompiled,
+        Counter::DramBoundCycles,
+        Counter::ComputeBoundCycles,
+        Counter::DispatchDecisions,
+        Counter::FabricRounds,
+        Counter::QosMet,
+    ];
+
     /// Stable snake_case name (JSON keys, text report rows).
     pub fn name(self) -> &'static str {
         match self {
@@ -105,6 +127,19 @@ pub enum Metric {
 }
 
 impl Metric {
+    /// Every metric, in declaration (report) order; `ALL[m as usize] == m`.
+    pub const ALL: [Metric; 9] = [
+        Metric::QueueDepth,
+        Metric::OccupancyPct,
+        Metric::AllocationSize,
+        Metric::QueueWaitCycles,
+        Metric::ReconfigCycles,
+        Metric::Utilization,
+        Metric::LatencyCycles,
+        Metric::NodeBacklogCycles,
+        Metric::NodeQueueDepth,
+    ];
+
     /// Stable snake_case name (JSON keys, text report rows).
     pub fn name(self) -> &'static str {
         match self {
@@ -208,51 +243,134 @@ impl Histogram {
     }
 }
 
-/// Aggregated counters and histograms of one run, renderable as an
-/// aligned text table or a JSON object.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Number of [`Counter`] variants.
+const COUNTERS: usize = Counter::ALL.len();
+const _: () = assert!(COUNTERS <= 32, "the touched mask is a u32");
+
+/// Number of [`Metric`] variants.
+const METRICS: usize = Metric::ALL.len();
+
+/// Aggregated counters, histograms and quantile sketches of one run,
+/// renderable as an aligned text table or a JSON object.
+///
+/// This is also the live aggregate the recording and stats collectors
+/// update on every hook, so it is laid out flat: counters and histograms
+/// are arrays indexed by the enum discriminant, and a metric's
+/// [`CycleSketch`] (~15 KB) is boxed on its first observation. A counter
+/// is present once added to (even by 0, tracked in a touched mask), a
+/// histogram once sampled, a sketch once observed; iteration is enum
+/// order. Absent keys render and compare exactly as if never created.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsReport {
-    /// Counter totals in deterministic (enum-order) iteration order.
-    pub counters: BTreeMap<Counter, u64>,
-    /// Histograms in deterministic iteration order.
-    pub histograms: BTreeMap<Metric, Histogram>,
-    /// Streaming quantile sketches (exact-integer cycle distributions)
-    /// in deterministic iteration order.
-    pub sketches: BTreeMap<Metric, CycleSketch>,
     /// Total events recorded alongside the aggregates.
     pub events: u64,
+    counters: [u64; COUNTERS],
+    /// Bit `c as usize` set once counter `c` has been added to.
+    touched: u32,
+    /// An empty (`count == 0`) histogram is an absent one.
+    histograms: [Histogram; METRICS],
+    sketches: [Option<Box<CycleSketch>>; METRICS],
+}
+
+impl Default for MetricsReport {
+    fn default() -> Self {
+        Self {
+            events: 0,
+            counters: [0; COUNTERS],
+            touched: 0,
+            histograms: [Histogram::new(); METRICS],
+            sketches: Default::default(),
+        }
+    }
 }
 
 impl MetricsReport {
+    /// Adds `delta` to a counter, creating it (at 0) if absent.
+    #[inline]
+    pub fn add(&mut self, c: Counter, delta: u64) {
+        self.counters[c as usize] += delta;
+        self.touched |= 1 << c as u32;
+    }
+
+    /// Records one histogram sample.
+    #[inline]
+    pub fn sample(&mut self, m: Metric, value: f64) {
+        self.histograms[m as usize].record(value);
+    }
+
+    /// Observes one cycle sample into the metric's sketch, boxing the
+    /// sketch on the metric's first observation.
+    #[inline]
+    pub fn observe(&mut self, m: Metric, cycles: u64) {
+        self.sketches[m as usize]
+            .get_or_insert_with(Box::default)
+            .record(cycles);
+    }
+
     /// The value of one counter (0 when never incremented).
     pub fn counter(&self, c: Counter) -> u64 {
-        self.counters.get(&c).copied().unwrap_or(0)
+        self.counters[c as usize]
     }
 
     /// The histogram for one metric, if any samples were recorded.
     pub fn histogram(&self, m: Metric) -> Option<&Histogram> {
-        self.histograms.get(&m)
+        Some(&self.histograms[m as usize]).filter(|h| !h.is_empty())
     }
 
     /// The quantile sketch for one metric, if any samples were observed.
     pub fn sketch(&self, m: Metric) -> Option<&CycleSketch> {
-        self.sketches.get(&m)
+        self.sketches[m as usize].as_deref()
+    }
+
+    /// The counters added to so far, in enum order.
+    pub fn counters(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
+        Counter::ALL
+            .into_iter()
+            .filter(|&c| self.touched & (1 << c as u32) != 0)
+            .map(|c| (c, self.counters[c as usize]))
+    }
+
+    /// The sampled histograms, in enum order.
+    pub fn histograms(&self) -> impl Iterator<Item = (Metric, &Histogram)> + '_ {
+        Metric::ALL
+            .into_iter()
+            .filter_map(|m| self.histogram(m).map(|h| (m, h)))
+    }
+
+    /// The observed sketches, in enum order.
+    pub fn sketches(&self) -> impl Iterator<Item = (Metric, &CycleSketch)> + '_ {
+        Metric::ALL
+            .into_iter()
+            .filter_map(|m| self.sketch(m).map(|s| (m, s)))
+    }
+
+    /// Whether nothing was recorded: no events and no counter, histogram
+    /// or sketch.
+    pub fn is_empty(&self) -> bool {
+        self.events == 0
+            && self.touched == 0
+            && self.histograms().next().is_none()
+            && self.sketches().next().is_none()
     }
 
     /// Merges another report into this one: counters and event totals
-    /// add, histograms and sketches merge bucket-wise. Deterministic —
-    /// `BTreeMap` iteration and commutative integer sums — so merging
-    /// per-node reports in node-id order yields the same bytes at any
+    /// add, histograms and sketches merge bucket-wise, each key merged
+    /// into an empty one when absent here. Deterministic — enum-order
+    /// iteration and commutative integer sums — so merging per-node
+    /// reports in node-id order yields the same bytes at any
     /// `PLANARIA_JOBS`.
     pub fn merge(&mut self, other: &Self) {
-        for (c, v) in &other.counters {
-            *self.counters.entry(*c).or_insert(0) += v;
+        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
+            *a += b;
         }
-        for (m, h) in &other.histograms {
-            self.histograms.entry(*m).or_default().merge(h);
+        self.touched |= other.touched;
+        for (m, h) in other.histograms() {
+            self.histograms[m as usize].merge(h);
         }
-        for (m, s) in &other.sketches {
-            self.sketches.entry(*m).or_default().merge(s);
+        for (m, s) in other.sketches() {
+            self.sketches[m as usize]
+                .get_or_insert_with(Box::default)
+                .merge(s);
         }
         self.events += other.events;
     }
@@ -287,9 +405,9 @@ impl MetricsReport {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "== telemetry report ({} events) ==", self.events);
-        if !self.counters.is_empty() {
+        if self.touched != 0 {
             let _ = writeln!(out, "counters:");
-            for (c, v) in &self.counters {
+            for (c, v) in self.counters() {
                 let _ = writeln!(out, "  {:<22} {v}", c.name());
             }
         }
@@ -299,9 +417,9 @@ impl MetricsReport {
         if let Some(share) = self.dram_bound_share() {
             let _ = writeln!(out, "  {:<22} {:.1}%", "dram_bound_share", share * 100.0);
         }
-        if !self.histograms.is_empty() {
+        if self.histograms().next().is_some() {
             let _ = writeln!(out, "histograms (count / mean / min / max):");
-            for (m, h) in &self.histograms {
+            for (m, h) in self.histograms() {
                 let _ = writeln!(
                     out,
                     "  {:<22} {} / {:.3} / {:.3} / {:.3}",
@@ -313,9 +431,9 @@ impl MetricsReport {
                 );
             }
         }
-        if !self.sketches.is_empty() {
+        if self.sketches().next().is_some() {
             let _ = writeln!(out, "sketches (count / p50 / p99 / min / max, cycles):");
-            for (m, s) in &self.sketches {
+            for (m, s) in self.sketches() {
                 let _ = writeln!(
                     out,
                     "  {:<22} {} / {} / {} / {} / {}",
@@ -336,7 +454,7 @@ impl MetricsReport {
         let mut out = String::from("{");
         let _ = write!(out, "\"events\":{}", self.events);
         out.push_str(",\"counters\":{");
-        for (i, (c, v)) in self.counters.iter().enumerate() {
+        for (i, (c, v)) in self.counters().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -350,7 +468,7 @@ impl MetricsReport {
             let _ = write!(out, ",\"dram_bound_share\":{}", fmt_f64(share));
         }
         out.push_str(",\"histograms\":{");
-        for (i, (m, h)) in self.histograms.iter().enumerate() {
+        for (i, (m, h)) in self.histograms().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -373,7 +491,7 @@ impl MetricsReport {
         }
         out.push('}');
         out.push_str(",\"sketches\":{");
-        for (i, (m, s)) in self.sketches.iter().enumerate() {
+        for (i, (m, s)) in self.sketches().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -443,12 +561,10 @@ mod tests {
     fn report_renders_text_and_json() {
         let mut r = MetricsReport::default();
         r.events = 3;
-        r.counters.insert(Counter::Arrivals, 2);
-        r.counters.insert(Counter::MemoHits, 3);
-        r.counters.insert(Counter::MemoMisses, 1);
-        let mut h = Histogram::new();
-        h.record(2.0);
-        r.histograms.insert(Metric::QueueDepth, h);
+        r.add(Counter::Arrivals, 2);
+        r.add(Counter::MemoHits, 3);
+        r.add(Counter::MemoMisses, 1);
+        r.sample(Metric::QueueDepth, 2.0);
         let text = r.render_text();
         assert!(text.contains("arrivals"));
         assert!(text.contains("memo_hit_rate"));
@@ -465,24 +581,16 @@ mod tests {
     fn reports_merge_deterministically() {
         let mut a = MetricsReport::default();
         a.events = 2;
-        a.counters.insert(Counter::Arrivals, 3);
-        let mut ha = Histogram::new();
-        ha.record(4.0);
-        a.histograms.insert(Metric::QueueDepth, ha);
-        let mut sa = CycleSketch::new();
-        sa.record(100);
-        a.sketches.insert(Metric::LatencyCycles, sa);
+        a.add(Counter::Arrivals, 3);
+        a.sample(Metric::QueueDepth, 4.0);
+        a.observe(Metric::LatencyCycles, 100);
 
         let mut b = MetricsReport::default();
         b.events = 1;
-        b.counters.insert(Counter::Arrivals, 2);
-        b.counters.insert(Counter::Completions, 5);
-        let mut hb = Histogram::new();
-        hb.record(8.0);
-        b.histograms.insert(Metric::QueueDepth, hb);
-        let mut sb = CycleSketch::new();
-        sb.record(200);
-        b.sketches.insert(Metric::LatencyCycles, sb);
+        b.add(Counter::Arrivals, 2);
+        b.add(Counter::Completions, 5);
+        b.sample(Metric::QueueDepth, 8.0);
+        b.observe(Metric::LatencyCycles, 200);
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -505,6 +613,16 @@ mod tests {
         assert!(json.contains("\"latency_cycles\":{\"count\":2"));
         let parsed = crate::json::parse(&json).expect("merged report JSON parses");
         assert!(parsed.get("sketches").is_some());
+    }
+
+    #[test]
+    fn variant_tables_are_indexed_by_discriminant() {
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?}");
+        }
+        for (i, m) in Metric::ALL.into_iter().enumerate() {
+            assert_eq!(m as usize, i, "{m:?}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use planaria::arch::AcceleratorConfig;
 use planaria::core::{CompiledLibrary, PlanariaEngine, SchedulingMode};
 use planaria::model::SplitMix64;
-use planaria::telemetry::RecordingCollector;
+use planaria::telemetry::{Event, RecordingCollector};
 use planaria::workload::{QosLevel, Scenario, TraceConfig};
 
 fn scenarios() -> [Scenario; 3] {
@@ -54,6 +54,46 @@ fn saturated_case() -> TraceConfig {
     TraceConfig::new(Scenario::C, QosLevel::Hard, 500.0, 500, 1).with_burstiness(6.0)
 }
 
+/// A fixed sparse case: at this rate most scheduling events see a single
+/// live tenant, so the oracle checks the lone-tenant arm (the whole chip,
+/// no estimate) event by event.
+fn sparse_case() -> TraceConfig {
+    TraceConfig::new(Scenario::C, QosLevel::Medium, 60.0, 400, 7)
+}
+
+/// Share of the arrival/completion instants leaving any tenant live that
+/// leave exactly one (the tenants a scheduling event at that instant
+/// sees; an empty chip is not scheduled at all).
+fn lone_share(rec: &RecordingCollector) -> f64 {
+    let (mut live, mut instants, mut lone) = (0i64, 0u32, 0u32);
+    let events = rec.events();
+    for (i, e) in events.iter().enumerate() {
+        match e.event {
+            Event::Arrival { .. } => live += 1,
+            Event::Completion { .. } => live -= 1,
+            _ => continue,
+        }
+        let last_at_instant = events[i + 1..]
+            .iter()
+            .find(|n| matches!(n.event, Event::Arrival { .. } | Event::Completion { .. }))
+            .map_or(true, |n| n.ts != e.ts);
+        if last_at_instant && live > 0 {
+            instants += 1;
+            lone += u32::from(live == 1);
+        }
+    }
+    f64::from(lone) / f64::from(instants.max(1))
+}
+
+#[test]
+fn sparse_case_mostly_schedules_a_lone_tenant() {
+    let engine = PlanariaEngine::new(AcceleratorConfig::planaria());
+    let mut rec = RecordingCollector::new();
+    engine.run_with_collector(&sparse_case().generate(), &mut rec);
+    let share = lone_share(&rec);
+    assert!(share > 0.8, "lone-tenant share {share}");
+}
+
 #[test]
 fn incremental_matches_full_rescan_oracle_at_every_event() {
     let library = CompiledLibrary::new(AcceleratorConfig::planaria());
@@ -67,7 +107,7 @@ fn incremental_matches_full_rescan_oracle_at_every_event() {
             .with_incremental(false);
         for cfg in random_cases(&mut rng, 4)
             .into_iter()
-            .chain([saturated_case()])
+            .chain([saturated_case(), sparse_case()])
         {
             let trace = cfg.generate();
             let (mut t_inc, mut t_full) = (RecordingCollector::new(), RecordingCollector::new());
@@ -94,9 +134,9 @@ fn incremental_matches_full_rescan_oracle_at_every_event() {
                 assert_eq!(a, b, "{mode:?} {cfg:?}: event #{i} diverged");
             }
             assert_eq!(
-                t_inc.counters(),
-                t_full.counters(),
-                "{mode:?} {cfg:?}: counters diverged"
+                t_inc.report(),
+                t_full.report(),
+                "{mode:?} {cfg:?}: counters, histograms or sketches diverged"
             );
         }
     }

@@ -11,6 +11,10 @@
 //!    run's peak live memory stays below the materialized run's by at
 //!    least half the trace's size, and its resident request state is
 //!    O(live tenants).
+//! 3. **A stats collector holds what it observed.** After one metric is
+//!    observed, a `StatsCollector` and its report each hold one boxed
+//!    quantile sketch on the heap, not a container sized for every
+//!    metric.
 //!
 //! The counting allocator is process-global, so this file keeps all
 //! measurements inside single test functions (the default harness runs
@@ -19,6 +23,7 @@
 
 use planaria::arch::AcceleratorConfig;
 use planaria::core::{CompiledLibrary, PlanariaEngine};
+use planaria::telemetry::{Collector, CycleSketch, Metric, StatsCollector};
 use planaria::workload::{QosLevel, Request, Scenario, TraceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,6 +88,29 @@ fn trace_cfg(requests: usize) -> TraceConfig {
 
 #[test]
 fn steady_state_allocs_are_constant_per_request_and_streams_stay_lean() {
+    // --- one observed metric, one sketch on the heap --------------------
+    // Measured first, before any engine work: the heap delta is the
+    // collector's own.
+    let sketch = std::mem::size_of::<CycleSketch>() as u64;
+    let held = |base: u64| LIVE.load(Ordering::Relaxed).saturating_sub(base);
+    let base = LIVE.load(Ordering::Relaxed);
+    let mut stats = StatsCollector::new();
+    stats.observe(Metric::LatencyCycles, 1_000);
+    let collector_bytes = held(base);
+    let report = stats.report();
+    let report_bytes = held(base) - collector_bytes;
+    assert_eq!(
+        report.sketch(Metric::LatencyCycles).map(|s| s.count()),
+        Some(1)
+    );
+    for (what, bytes) in [("collector", collector_bytes), ("report", report_bytes)] {
+        assert!(
+            (sketch..2 * sketch).contains(&bytes),
+            "{what} holds {bytes} B of heap for one observed metric; one sketch is {sketch} B"
+        );
+    }
+    drop((stats, report));
+
     let library = CompiledLibrary::new(AcceleratorConfig::planaria());
     let engine = PlanariaEngine::with_library(library);
 
